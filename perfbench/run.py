@@ -12,6 +12,7 @@ result line, when the program cannot be imported or a run cannot finish.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -22,7 +23,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Ray's unix sockets live under the temp dir; AF_UNIX paths stop at 107 bytes
 # and the session adds ~64, so longer checkout paths keep Ray's default
 MAX_RAY_TEMP = 43
-# the load is sized for one core: Ray schedules one task or actor at a time
+# the load is sized for one core: Ray schedules one task or actor at a time,
+# and the driver and every Ray process it starts share one CPU (see _pin)
 RAY_CPUS = 1
 
 
@@ -57,11 +59,12 @@ def main(argv=None) -> int:
     os.makedirs(os.path.join(state_dir, "tmp"), exist_ok=True)
     with tempfile.TemporaryDirectory(dir=os.path.join(state_dir, "tmp")) as work:
         run = workloads.Run(args.workload, args.seed, args.seconds, bool(args.trace), work)
+        _pin()
         bw_before = measure.bandwidth_gbs()
         with run.phase("prepare"):
             run.prepare()
-        _start_ray(state_dir, run)
         try:
+            _start_ray(state_dir, run)
             if run.trace:
                 spans.install(run.rec)
             with run.phase("build"):
@@ -77,7 +80,8 @@ def main(argv=None) -> int:
     result = {"correct": run.failed == 0, "attempted": run.attempted,
               "failed": run.failed, "metrics": metrics}
     report = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-              "trace": args.trace, "host": {**measure.host_context(), "ray_cpus": RAY_CPUS},
+              "trace": args.trace, "host": {**measure.host_context(), "ray_cpus": RAY_CPUS,
+                       "pinned_cpus": sorted(os.sched_getaffinity(0))},
               "bandwidth_gbs": {"before": bw_before, "after": bw_after},
               "ray_init_s": run.ray_s, "phases_s": run.phases, **run.report,
               "end_to_end": run.metrics, "per_layer": run.layers, "result": result}
@@ -87,6 +91,14 @@ def main(argv=None) -> int:
         json.dump(report, f, indent=1)
     print(json.dumps(result), flush=True)
     return 0 if result["correct"] else 1
+
+
+def _pin() -> None:
+    """Pin the driver to one CPU; Ray's processes, started later, inherit
+    the mask. A closed-loop request then hands one core between the driver
+    and the actor instead of waking an idle one, which on a shared virtual
+    machine adds a delay that varies with the host's load."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def _start_ray(state_dir: str, run) -> None:
@@ -108,16 +120,53 @@ def _start_ray(state_dir: str, run) -> None:
     DataContext.get_current().enable_progress_bars = False
 
 
-def _stop_ray() -> None:
-    """Shut the session down and remove its directory (Ray keeps session
-    logs after shutdown)."""
+def _stop_ray(wait_s: float = 20.0) -> None:
+    """Shut the session down, wait until every process it started has
+    ended (killing those still there after ``wait_s``), and remove its
+    directory (Ray keeps session logs after shutdown)."""
     import shutil
+    import signal
 
     import ray
 
-    session = ray._private.worker._global_node.get_session_dir_path()
+    node = ray._private.worker._global_node
+    session = node.get_session_dir_path() if node is not None else None
+    pids = _descendants()
     ray.shutdown()
-    shutil.rmtree(session, ignore_errors=True)
+    deadline = time.monotonic() + wait_s
+    while (pids := [p for p in pids if _alive(p)]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    for p in pids:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(p, signal.SIGKILL)
+    if session:
+        shutil.rmtree(session, ignore_errors=True)
+
+
+def _descendants() -> list[int]:
+    """Pids of every process below this one (Ray's daemons and workers)."""
+    children: dict[int, list[int]] = {}
+    for d in os.listdir("/proc"):
+        if d.isdigit():
+            with contextlib.suppress(OSError, IndexError, ValueError):
+                with open(f"/proc/{d}/stat") as f:
+                    ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+                children.setdefault(ppid, []).append(int(d))
+    out, todo = [], [os.getpid()]
+    while todo:
+        for c in children.get(todo.pop(), ()):
+            out.append(c)
+            todo.append(c)
+    return out
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (an unreaped zombie counts as ended)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 if __name__ == "__main__":

@@ -99,23 +99,39 @@ def test_highest_percentile_needs_ten_samples_beyond():
     assert measure.highest_percentile(10_000) == 99.9
     assert measure.highest_percentile(20) == 50.0
     assert measure.highest_percentile(19) is None
+    assert measure.block_size(90.0) == 100
+    assert measure.block_size(95.0) == 200
+    assert measure.block_size(99.0) == 1_000
     s = measure.latency_summary([i / 1000 for i in range(1, 1001)])
-    assert s["p99_ms"] == pytest.approx(990.0) and s["p99_supported"]
-    assert not measure.latency_summary([0.001] * 999)["p99_supported"]
+    assert s["p99_ms_all"] == pytest.approx(990.0)
+    assert s["tail_blocks"] == 10
 
 
-def test_blocked_p99_is_the_median_of_block_p99s():
-    block = [i / 1000 for i in range(1, 1001)]            # p99 = 0.990
-    slow = [10 * v for v in block]                        # p99 = 9.90
+def test_blocked_percentile_is_the_median_of_block_percentiles():
+    block = [i / 1000 for i in range(1, 201)]             # p95 = 0.190
+    slow = [10 * v for v in block]                        # p95 = 1.90
     # one slow block out of three does not move the result
-    assert measure.blocked_p99(block + slow + block) == pytest.approx(0.990)
+    assert measure.blocked_percentile(block + slow + block, 95.0) == pytest.approx(0.190)
     # a remainder shorter than a block joins the last block
-    assert measure.blocked_p99(block + block[:500]) == pytest.approx(
-        measure.nearest_rank(sorted(block + block[:500]), 99.0))
-    # fewer samples than one block: the p99 of all of them
-    assert measure.blocked_p99(block[:200]) == pytest.approx(0.198)
-    s = measure.latency_summary(block + slow + block)
-    assert s["p99_blocks"] == 3 and s["p99_ms"] == pytest.approx(990.0)
+    assert measure.blocked_percentile(block + block[:100], 95.0) == pytest.approx(
+        measure.nearest_rank(sorted(block + block[:100]), 95.0))
+    # fewer samples than one block: the percentile of all of them
+    assert measure.blocked_percentile(block[:100], 95.0) == pytest.approx(0.095)
+    tail = [i / 1000 for i in range(1, 101)]               # p90 = 0.090
+    s = measure.latency_summary(tail + [10 * v for v in tail] + tail)
+    assert s["tail_blocks"] == 3 and s["p90_ms"] == pytest.approx(90.0)
+
+
+def test_chunked_rate_is_the_median_of_chunk_rates():
+    # 10 requests of 0.1 s back to back, then 10 of 1 s, then 10 of 0.1 s
+    lat = [0.1] * 10 + [1.0] * 10 + [0.1] * 10
+    sent = np.concatenate(([0.0], np.cumsum(lat)[:-1])).tolist()
+    done = [t + d for t, d in zip(sent, lat)]
+    assert measure.chunked_rate(sent, done, chunk=10) == pytest.approx(10.0)
+    # a remainder joins the last chunk: 15 requests in 1.0 + 5 * 1.0 s
+    assert measure.chunked_rate(sent[:15], done[:15], chunk=10) == pytest.approx(2.5)
+    # fewer requests than one chunk: the rate of all of them
+    assert measure.chunked_rate(sent[:5], done[:5], chunk=10) == pytest.approx(10.0)
 
 
 def test_self_time_subtracts_the_covered_part_of_children():

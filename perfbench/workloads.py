@@ -1,5 +1,5 @@
-"""The three workloads. Every run builds its own index from the run's
-generated corpus, measures a tail refresh, then serves one traffic mix
+"""The two workloads. Every run builds its own index from the run's
+generated corpus, measures tail refreshes, then serves one traffic mix
 with a single closed-loop client.
 
 Each runner fills ``Run.metrics`` (end-to-end) and ``Run.layers``
@@ -25,15 +25,12 @@ import pyarrow.parquet as pq
 from perfbench import gen, measure, spans
 from perfbench.recount import TermModel, dsl_mismatch, recount_dsl
 
-N_FILES = 20_000          # base corpus rows (the served index)
+N_FILES = 20_000          # base corpus rows (the served index, timed build)
 ROWS_PER_FILE = 5_000     # corpus parquet file size
-TIMED_FILES = 6_000       # rows of each timed build (a slice of the corpus)
-BUILDS = 3                # timed builds per run; files_per_s takes their median
+WARM_FILES = 1_000        # rows of the untimed build that starts the Ray workers
 BATCH_FILES = 1_000       # rows per tail batch
-SIDE_REFRESHES = 5        # refreshes measured before serving (topk, dsl)
+REFRESHES = 7             # refreshes per run; refresh_ms takes their median
 SETUPS = 3                # set-ups per run; setup_s takes their median
-CYCLES_PER_S = 0.55       # ingest refresh cycles per second of --seconds
-BURST = 150               # ingest queries between refreshes
 BLOCK = 50                # traced runs alternate untraced/traced blocks
 CHECKS = 20               # sampled requests re-checked after the window
 WARMUP = 200              # untimed requests before the window (topk, dsl)
@@ -87,39 +84,33 @@ class Run:
         self.wl = gen.Workload(self.seed, N_FILES)
         self.corpus_paths = self.wl.base.write(os.path.join(self.work, "corpus"), ROWS_PER_FILE)
         self.input_bytes = self.wl.base.input_bytes()
-        timed = gen.Corpus(self.wl.base.rows.slice(0, TIMED_FILES), None, None, [])
-        self.timed_paths = timed.write(os.path.join(self.work, "timed"), ROWS_PER_FILE)
+        warm = gen.Corpus(self.wl.base.rows.slice(0, WARM_FILES), None, None, [])
+        self.warm_paths = warm.write(os.path.join(self.work, "warm"), ROWS_PER_FILE)
 
     def build(self) -> str:
-        """Build the served index from the whole corpus and gate on it; that
-        build also starts and warms the Ray workers. Then time ``BUILDS``
-        builds of the first ``TIMED_FILES`` rows: ``files_per_s`` is the
-        median over them, the build's layer numbers are means (the program
-        reports stage times in whole milliseconds; a mean keeps the
-        resolution finer than that)."""
+        """Start and warm the Ray workers with an untimed build of the first
+        ``WARM_FILES`` rows, then time the build of the served index from
+        the whole corpus (``files_per_s``) and gate on it. The build's layer
+        numbers come from the same build."""
         from astrologer_ray.pipelines.build import build_index
         from astrologer_ray.pipelines.integrity import check_corpus, check_index
 
+        warm = os.path.join(self.work, "warm-index")
+        meta = build_index(self.warm_paths, warm)
+        self.op(meta["n_docs"] == WARM_FILES, f"n_docs {meta['n_docs']} != {WARM_FILES}")
+        shutil.rmtree(warm)
+
         index = os.path.join(self.work, "index")
+        t0 = time.perf_counter()
         meta = build_index(self.corpus_paths, index)
+        self.metrics["files_per_s"] = N_FILES / (time.perf_counter() - t0)
         self.metrics["disk_bytes_per_input_byte"] = _du(index) / self.input_bytes
+        self.layers.update(_build_layers(index, meta))
         self.op(meta["n_docs"] == N_FILES, f"n_docs {meta['n_docs']} != {N_FILES}")
         res = check_index(index)
         self.op(res["ok"], f"check_index: {res.get('errors')}")
         res = check_corpus(index, self.corpus_paths)
         self.op(res["ok"], f"check_corpus: {res.get('errors', res)}")
-
-        rates, layers = [], []
-        timed = os.path.join(self.work, "timed-index")
-        for _ in range(BUILDS):
-            t0 = time.perf_counter()
-            meta = build_index(self.timed_paths, timed)
-            rates.append(TIMED_FILES / (time.perf_counter() - t0))
-            self.op(meta["n_docs"] == TIMED_FILES, f"n_docs {meta['n_docs']} != {TIMED_FILES}")
-            layers.append(_build_layers(timed, meta))
-            shutil.rmtree(timed)
-        self.metrics["files_per_s"] = statistics.median(rates)
-        self.layers.update({k: statistics.fmean(d[k] for d in layers) for k in layers[0]})
         return index
 
     # -- refresh ---------------------------------------------------------------
@@ -150,28 +141,28 @@ class Run:
                 f"marker of batch {batch}: {len(got)} hits")
         return t1 - t0, t2 - t1, s
 
-    def side_refreshes(self, index: str) -> None:
-        """topk / dsl: refreshes on a copy of the index, so serving keeps
-        the single-generation index while ``refresh_ms`` is still measured."""
+    def refreshes(self, index: str) -> None:
+        """``REFRESHES`` tail refreshes, each on a fresh copy of the served
+        index (the copy is untimed): every refresh appends one batch to the
+        same base, so the samples measure the same work, and serving keeps
+        the single-generation index."""
         from astrologer_ray.pipelines.segments import index_generations
 
         copy = os.path.join(self.work, "refresh-index")
-        shutil.copytree(index, copy)
-        paths = list(self.corpus_paths)
         appends, opens = [], []
-        for b in range(SIDE_REFRESHES):
-            out = self.refresh(copy, paths, b, self.wl.tail_batch(b, BATCH_FILES))
+        for b in range(REFRESHES):
+            shutil.copytree(index, copy)
+            out = self.refresh(copy, list(self.corpus_paths), b,
+                               self.wl.tail_batch(b, BATCH_FILES))
             if out:
                 appends.append(out[0])
                 opens.append(out[1])
-        self._refresh_metrics(appends, opens, len(index_generations(copy)))
-        shutil.rmtree(copy)
-
-    def _refresh_metrics(self, appends, opens, generations) -> None:
+            generations = len(index_generations(copy))
+            shutil.rmtree(copy)
         if not appends:
             raise RuntimeError("every refresh failed")
-        self.metrics["refresh_ms"] = statistics.median(
-            a + o for a, o in zip(appends, opens)) * 1e3
+        self.report["refresh_ms"] = [(a + o) * 1e3 for a, o in zip(appends, opens)]
+        self.metrics["refresh_ms"] = statistics.median(self.report["refresh_ms"])
         self.layers["pipelines.segments.append_ms"] = statistics.median(appends) * 1e3
         self.layers["state.searcher.open_s"] = statistics.median(opens)
         self.layers["pipelines.segments.generations"] = generations
@@ -189,15 +180,17 @@ class Run:
             pool = ReplicatedSearchPool(index, 1, load_docs=load_docs)
             pool.warm()
             times.append(time.perf_counter() - t0)
+        self.report["setup_s"] = times
         self.layers["state.pool.warm_s"] = statistics.median(times)
         self.metrics["setup_s"] = statistics.median(times)
         return pool
 
     def closed_loop(self, send, warmup: list, requests: list, actor=None):
         """Send the untimed ``warmup`` requests, then ``requests`` one at a
-        time for ``seconds``; returns per-request (latency_s, traced,
-        response) in send order. Traced runs alternate untraced and traced
-        blocks of ``BLOCK`` requests."""
+        time for ``seconds``; returns per-request (sent, latency_s, traced,
+        response) in send order, ``sent`` on the ``perf_counter`` clock.
+        Traced runs alternate untraced and traced blocks of ``BLOCK``
+        requests."""
         import ray
 
         for req in warmup:
@@ -219,28 +212,33 @@ class Run:
             t0 = time.perf_counter()
             ok, resp = self.guarded(send, req)
             dt = time.perf_counter() - t0
-            out.append((dt, traced, resp if ok else None))
+            out.append((t0, dt, traced, resp if ok else None))
             i += 1
         wall = time.perf_counter() - t_start
         gc.unfreeze()
         self.rec.enabled = False
         if self.trace and actor is not None:
             ray.get(actor.__ray_call__.remote(spans.set_worker_tracing, False))
-        self.attempted += sum(1 for r in out if r[2] is not None)
-        return out, wall
+        self.attempted += sum(1 for r in out if r[3] is not None)
+        self.report["window_s"] = wall
+        return out
 
-    def latency_metrics(self, results, wall_s: float) -> None:
-        lat = [r[0] for r in results if r[2] is not None and not r[1]]
+    def latency_metrics(self, results) -> None:
+        """p50 and blocked p90 over the untraced requests that succeeded;
+        qps from every request of the window, in chunks."""
+        lat = [r[1] for r in results if r[3] is not None and not r[2]]
         summary = measure.latency_summary(lat)
         self.report["latency"] = summary
+        self.report["lat_ms"] = [round(x * 1e3, 4) for x in lat]
         self.metrics["p50_ms"] = summary["p50_ms"]
-        self.metrics["p99_ms"] = summary["p99_ms"]
-        self.metrics["qps"] = len(lat) / wall_s
+        self.metrics["p90_ms"] = summary["p90_ms"]
+        self.metrics["qps"] = measure.chunked_rate([r[0] for r in results],
+                                                   [r[0] + r[1] for r in results])
 
-    def serving_layers(self, results, worker_spans: list[tuple], hop_roots: bool) -> None:
+    def serving_layers(self, results, worker_spans: list[tuple]) -> None:
         """Per-request means of layer self times over the traced requests."""
-        traced = [r[0] for r in results if r[1] and r[2] is not None]
-        untraced = [r[0] for r in results if not r[1] and r[2] is not None]
+        traced = [r[1] for r in results if r[2] and r[3] is not None]
+        untraced = [r[1] for r in results if not r[2] and r[3] is not None]
         n = max(1, len(traced))
         mine = self.rec.take()
         st = spans.self_times(mine)
@@ -248,11 +246,9 @@ class Run:
         for k, v in wst.items():
             st[k] = st.get(k, 0.0) + v
         _, _, decoded = spans.totals(mine + worker_spans, "functions.codec.decode")
-        hop = 0.0
-        if hop_roots:
-            actor_s = sum(s[4] - s[3] for s in spans.roots(worker_spans))
-            driver_tok = spans.self_times(mine).get("functions.tokenizer.tokenize", 0.0)
-            hop = (sum(traced) - actor_s - driver_tok) / n
+        actor_s = sum(s[4] - s[3] for s in spans.roots(worker_spans))
+        driver_tok = spans.self_times(mine).get("functions.tokenizer.tokenize", 0.0)
+        hop = (sum(traced) - actor_s - driver_tok) / n
         self.layers.update({
             "state.searcher.search_ms": st.get("state.searcher.search", 0.0) / n * 1e3,
             "state.searcher.filter_mask_ms": st.get("state.searcher.filter_mask", 0.0) / n * 1e3,
@@ -265,7 +261,6 @@ class Run:
             "bench.trace_overhead_pct": (statistics.median(traced) / statistics.median(untraced)
                                          - 1.0) * 100 if traced and untraced else 0.0,
         })
-        self.layers.setdefault("state.pool.warm_s", 0.0)
 
 
 def _build_layers(index: str, meta: dict) -> dict[str, float]:
@@ -311,6 +306,17 @@ def _actor_pid(actor) -> int:
     return ray.get(actor.__ray_call__.remote(lambda self: os.getpid()))
 
 
+def _actor_cpus(actor) -> list[int]:
+    """CPUs the actor's threads may run on (recorded to show the pinning held)."""
+    import ray
+
+    def cpus(_self):
+        return sorted({c for t in os.listdir("/proc/self/task")
+                       for c in os.sched_getaffinity(int(t))})
+
+    return ray.get(actor.__ray_call__.remote(cpus))
+
+
 def _worker_spans(actor) -> list[tuple]:
     import ray
 
@@ -326,7 +332,7 @@ def run_topk(run: Run, index: str) -> None:
     from astrologer_ray.functions.tokenizer import tokenize
 
     with run.phase("refresh"):
-        run.side_refreshes(index)
+        run.refreshes(index)
     with run.phase("setup"):
         pool = run.open_pool(index, load_docs=False)
     warmup = run.wl.topk_texts(WARMUP)
@@ -336,17 +342,18 @@ def run_topk(run: Run, index: str) -> None:
         return pool.search(tokenize(text), k=K)
 
     with run.phase("window"):
-        results, wall = run.closed_loop(send, warmup, texts, actor=pool.actors[0])
-    run.latency_metrics(results, wall)
+        results = run.closed_loop(send, warmup, texts, actor=pool.actors[0])
+    run.latency_metrics(results)
     actor = pool.actors[0]
     run.metrics["rss_mb"] = measure.vm_hwm_mb(_actor_pid(actor))
+    run.report["actor_cpus"] = _actor_cpus(actor)
     if run.trace:
-        run.serving_layers(results, _worker_spans(actor), hop_roots=True)
+        run.serving_layers(results, _worker_spans(actor))
     pool.shutdown()
 
     model = TermModel(run.wl.vocab, [run.wl.base])
     for i in _sample(run, len(results)):
-        resp = results[i][2]
+        resp = results[i][3]
         if resp is None:
             continue
         want, _ = model.bm25_topk(tokenize(texts[i % len(texts)]), k=K)
@@ -358,7 +365,7 @@ def run_dsl(run: Run, index: str) -> None:
     """ES bodies, one per ``msearch`` call, on a warm one-replica pool with
     doc attributes loaded."""
     with run.phase("refresh"):
-        run.side_refreshes(index)
+        run.refreshes(index)
     with run.phase("setup"):
         pool = run.open_pool(index, load_docs=True)
     warmup = run.wl.dsl_bodies(WARMUP)
@@ -368,12 +375,13 @@ def run_dsl(run: Run, index: str) -> None:
         return pool.msearch([body])[0]
 
     with run.phase("window"):
-        results, wall = run.closed_loop(send, warmup, bodies, actor=pool.actors[0])
-    run.latency_metrics(results, wall)
+        results = run.closed_loop(send, warmup, bodies, actor=pool.actors[0])
+    run.latency_metrics(results)
     actor = pool.actors[0]
     run.metrics["rss_mb"] = measure.vm_hwm_mb(_actor_pid(actor))
+    run.report["actor_cpus"] = _actor_cpus(actor)
     if run.trace:
-        run.serving_layers(results, _worker_spans(actor), hop_roots=True)
+        run.serving_layers(results, _worker_spans(actor))
     pool.shutdown()
 
     model = TermModel(run.wl.vocab, [run.wl.base])
@@ -381,7 +389,7 @@ def run_dsl(run: Run, index: str) -> None:
     dl_ok = np.array_equal(docs.sort_by("doc_id").column("dl").to_numpy(), model.dl)
     run.op(dl_ok, "docs sidecar dl differs from the generated documents")
     for i in _sample(run, len(results)):
-        resp = results[i][2]
+        resp = results[i][3]
         if resp is None:
             continue
         body = bodies[i % len(bodies)]
@@ -389,73 +397,9 @@ def run_dsl(run: Run, index: str) -> None:
         run.op(err is None, f"dsl request {i}: {err}")
 
 
-def run_ingest(run: Run, index: str) -> None:
-    """Tail ingest with refresh on a fresh copy of the base index: each
-    cycle appends a batch, reopens a driver-local Searcher and sends a
-    burst of top-k queries."""
-    from astrologer_ray.functions.tokenizer import tokenize
-    from astrologer_ray.pipelines.integrity import check_index
-    from astrologer_ray.pipelines.segments import index_generations
-    from astrologer_ray.state.searcher import Searcher
-
-    # a fixed number of cycles, so every commit refreshes the same generations
-    cycles = max(2, round(run.seconds * CYCLES_PER_S))
-    batches = [run.wl.tail_batch(b, BATCH_FILES) for b in range(cycles)]
-    texts = run.wl.topk_texts(4_000)
-    live = os.path.join(run.work, "live-index")
-    times = []
-    with run.phase("setup"):
-        for _ in range(SETUPS):
-            if os.path.isdir(live):
-                shutil.rmtree(live)
-            t0 = time.perf_counter()
-            shutil.copytree(index, live)
-            searcher = Searcher(live, load_docs=False)
-            times.append(time.perf_counter() - t0)
-    run.metrics["setup_s"] = statistics.median(times)
-
-    paths = list(run.corpus_paths)
-    appends, opens, results = [], [], []
-    burst_wall = 0.0
-    window = time.perf_counter()
-    gc.collect()
-    gc.freeze()
-    for b, batch in enumerate(batches):
-        run.rec.enabled = False
-        out = run.refresh(live, paths, b, batch)
-        if out is None:
-            continue
-        appends.append(out[0])
-        opens.append(out[1])
-        searcher = out[2]
-
-        def send(text):
-            return searcher.search(tokenize(text), k=K)
-
-        t0 = time.perf_counter()
-        for j in range(BURST):
-            traced = run.trace and (len(results) // BLOCK) % 2 == 1
-            run.rec.enabled = traced
-            q0 = time.perf_counter()
-            ok, resp = run.guarded(send, texts[len(results) % len(texts)])
-            results.append((time.perf_counter() - q0, traced, resp if ok else None))
-        burst_wall += time.perf_counter() - t0
-    gc.unfreeze()
-    run.phases["window"] = time.perf_counter() - window
-    run.rec.enabled = False
-    run.attempted += sum(1 for r in results if r[2] is not None)
-    run.latency_metrics(results, burst_wall)
-    run.metrics["rss_mb"] = measure.vm_hwm_mb()
-    run._refresh_metrics(appends, opens, len(index_generations(live)))
-    if run.trace:
-        run.serving_layers(results, [], hop_roots=False)
-    res = check_index(live)
-    run.op(res["ok"], f"check_index after ingest: {res.get('errors')}")
-
-
 def _sample(run: Run, n_sent: int) -> list[int]:
     rng = np.random.default_rng(run.seed + 1)
     return sorted(rng.choice(n_sent, size=min(CHECKS, n_sent), replace=False).tolist())
 
 
-RUNNERS = {"topk": run_topk, "dsl": run_dsl, "ingest": run_ingest}
+RUNNERS = {"topk": run_topk, "dsl": run_dsl}
