@@ -4559,7 +4559,7 @@ def terms_set_documents(sf_dir: str):
     ``minimum_should_match_field``-many of the given terms, scored by the
     BM25 sum of the matched terms — expressed through the engine's
     should-clause machinery (no must terms, min_should_match=N), identical
-    TAAT/WAND."""
+    under dense TAAT and MaxScore."""
     from astrologer_ray.state.searcher import Searcher
 
     s = Searcher(_documents_index(sf_dir), load_docs=False)
@@ -6065,7 +6065,7 @@ HYBRID_K = 15
 
 def hybrid_rrf_documents(sf_dir: str):
     """Hybrid retrieval — ES ``rrf`` retriever: a BM25 ``match`` leg
-    (block-max WAND searcher) and a cosine ``knn`` leg (distributed
+    (MaxScore top-k searcher) and a cosine ``knn`` leg (distributed
     brute top-k) fused by Reciprocal Rank Fusion, rank-based so the
     legs need no score calibration. Cosines rank on their 9-decimal
     rounding so engine and SQL oracle share the exact rank key."""

@@ -12,7 +12,8 @@ halves natively on Ray Data:
   ``groupby(term)`` merge shuffle, delta+varbyte-compressed block-max
   posting chunks (what Elasticsearch/Lucene did for the reference),
 - query serving   -> actor pool holding dictionary + posting shards,
-  top-k BM25 (k1=1.2, b=0.75) via block-max document-at-a-time scoring
+  exact top-k BM25 (k1=1.2, b=0.75) via term-level MaxScore over cached
+  decoded impacts, dense term-at-a-time when most docs are candidates
   (reference query surface: es.postman_collection.json).
 
 Package layout:

@@ -1085,7 +1085,10 @@ def main(argv: list[str] | None = None) -> int:
                          '[{"term": {"lang": "go"}}, {"range": '
                          '{"dl": {"gte": 10}}}]}}\'')
     se.add_argument("--strategy", default="auto",
-                    choices=["auto", "taat", "wand"])
+                    choices=["auto", "taat", "wand"],
+                    help="top-k engine: auto = term-level MaxScore, dense "
+                         "TAAT when most docs are candidates; wand = always "
+                         "MaxScore; taat = always dense (all exact)")
     se.add_argument("--should", default=None,
                     help="should-clause text: adds BM25 score to matching "
                          "candidates (ES bool.should in query context)")

@@ -8,12 +8,13 @@ Lucene (the reference only ships NDJSON to ``_bulk``,
   0x80. Encode and decode are pure numpy (no per-value Python loop).
 - **chunk**: one (term, doc_id-range) slice of a posting list. Postings are
   doc_id-sorted; ids are delta-encoded with an *absolute restart at every
-  block boundary* (block = 128 postings), so any block decodes independently
-  — that is what makes block-skipping (block-max WAND) possible. Three
-  parallel varbyte streams per chunk: ids (delta), tf, dl. Per-block
+  block boundary* (block = 128 postings), so any block decodes independently.
+  Three parallel varbyte streams per chunk: ids (delta), tf, dl. Per-block
   metadata: last doc_id (skip pointer), byte offsets into each stream, and
   the exact max BM25 tf-norm ``tf/(tf+k1*(1-b+b*dl/avgdl))`` (float64), so
-  the block's score upper bound is ``idf*(k1+1)*block_max_tfn``.
+  the block's score upper bound is ``idf*(k1+1)*block_max_tfn``. The
+  searcher does not skip blocks: it decodes whole chunks and bounds a term
+  by the max of its decoded weights (state/searcher.py).
 
 Chunks are keyed by ``chunk_id = doc_id >> CHUNK_BITS`` (a doc_id *range*,
 not a count), so the skew-salted shuffle ``groupby(term, chunk_id)`` produces

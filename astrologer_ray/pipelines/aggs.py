@@ -372,9 +372,15 @@ def heavy_hitters_mg(ds: Dataset, col: str, k: int = 64) -> pd.DataFrame:
 
     The driver merge handles <= k x #blocks partial rows (bounded by
     the sketch, not the data); returns items sorted by lower bound with
-    per-item (lower, upper) and the global error bound."""
+    per-item (lower, upper) and the global error bound. Items keep the
+    key column's Arrow type (an int64 key comes back as int64); null keys
+    are not counted."""
+    import pandas as pd
+    import ray
+
     def block_summary(t: pa.Table) -> pa.Table:
-        vals = np.asarray(t[col], dtype=object)
+        typ = t.schema.field(col).type
+        vals = pc.drop_null(t[col]).to_numpy(zero_copy_only=False)
         u, c = np.unique(vals, return_counts=True)
         err = 0
         if len(u) > k:
@@ -385,27 +391,27 @@ def heavy_hitters_mg(ds: Dataset, col: str, k: int = 64) -> pd.DataFrame:
             err = thresh               # this block's decrement
         # the block's error rides in a null-item carrier row so the
         # summary stays well-formed even when truncation empties it
-        items = list(u.astype(str)) + [None]
-        cnts = np.r_[c.astype(np.int64), 0]
-        blk = np.r_[np.zeros(len(u), np.int64), err]
         return pa.table({
-            "item": pa.array(items, pa.string()),
-            "cnt": pa.array(cnts, pa.int64()),
-            "blk": pa.array(blk, pa.int64()),
+            "item": pa.array(u.tolist() + [None], typ),
+            "cnt": pa.array(np.r_[c.astype(np.int64), 0], pa.int64()),
+            "blk": pa.array(np.r_[np.zeros(len(u), np.int64), err], pa.int64()),
         })
 
-    import pandas as pd
-
-    parts = ds.map_batches(
-        block_summary, batch_format="pyarrow").to_pandas()
-    # bounded: <= k items + 1 error-carrier row per block
-    if parts.empty:
+    # bounded: <= k items + 1 error-carrier row per block; gathered as
+    # Arrow (pandas would turn an int key column holding the carrier's
+    # null into float64)
+    blocks = ray.get(ds.map_batches(
+        block_summary, batch_format="pyarrow").to_arrow_refs())
+    blocks = [b for b in blocks if b.num_rows]
+    if not blocks:
         return pd.DataFrame({"item": pd.Series([], dtype="object"),
                              "lower": pd.Series([], dtype="int64"),
                              "upper": pd.Series([], dtype="int64")})
-    total_err = int(parts.blk.sum())
-    agg = parts[parts.item.notna()].groupby("item", as_index=False).cnt.sum()
-    agg = agg.rename(columns={"cnt": "lower"})
+    parts = pa.concat_tables(blocks, promote_options="default")
+    total_err = int(pc.sum(parts["blk"]).as_py())
+    agg = (parts.filter(pc.is_valid(parts["item"]))
+           .group_by("item").aggregate([("cnt", "sum")])
+           .to_pandas().rename(columns={"cnt_sum": "lower"}))
     agg["upper"] = agg.lower + total_err
     return agg.sort_values(["lower", "item"],
                            ascending=[False, True]).reset_index(drop=True)

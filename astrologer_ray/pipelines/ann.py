@@ -669,9 +669,15 @@ def pca_fit(ds: Dataset, out_dim: int, *, vec_col: str = "embedding",
     d x d matrix: driver work is dimension-, not data-, sized). Returns
     ``(components[d, out_dim], mean[d], explained_variance[out_dim])``.
     Eigenvector sign is fixed (largest-|coeff| entry positive) so the
-    fit is deterministic across partitionings."""
+    fit is deterministic across partitionings. An empty block (e.g. after
+    an upstream filter) contributes no partial; a dataset with no rows at
+    all raises ``ValueError``."""
+    schema = pa.schema([("n", pa.int64()), ("s", pa.binary()),
+                        ("xtx", pa.binary()), ("d", pa.int64())])
 
     def partials(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return schema.empty_table()
         X = np.stack(
             t[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64)
         return pa.table({
@@ -679,9 +685,11 @@ def pca_fit(ds: Dataset, out_dim: int, *, vec_col: str = "embedding",
             "s": pa.array([X.sum(axis=0).tobytes()], pa.binary()),
             "xtx": pa.array([(X.T @ X).tobytes()], pa.binary()),
             "d": pa.array([X.shape[1]], pa.int64()),
-        })
+        }, schema=schema)
 
     parts = ds.map_batches(partials, batch_format="pyarrow").to_pandas()
+    if parts.empty:
+        raise ValueError(f"pca_fit: no {vec_col!r} rows to fit")
     d = int(parts.d.iloc[0])
     n = int(parts.n.sum())
     s = np.zeros(d)

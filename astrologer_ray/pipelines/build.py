@@ -1006,7 +1006,7 @@ def build_index(
         # full build config + key range: segment append (pipelines/
         # segments.py) reuses the exact config and gates on key monotony;
         # encode_avgdl is the avgdl baked into THIS index's block maxima
-        # (query-time WAND bounds rescale by avgdl_now/encode_avgdl)
+        # (a block-skipping reader rescales them by avgdl_now/encode_avgdl)
         "column_map": build_cfg["column_map"],
         "key_cols": build_cfg["key_cols"],
         "encode_avgdl": avgdl,

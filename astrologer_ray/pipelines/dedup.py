@@ -27,10 +27,24 @@ import pyarrow as pa
 from ray.data import Dataset
 
 from astrologer_ray.functions.tokenizer import _SIMPLE_RE
+from astrologer_ray.stages.spimi import _sha256_per_row
 
 logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------- exact dedup
+
+
+def _digest(t: pa.Table, text_col: str):
+    """sha256 hex of every ``text_col`` value (null hashes as empty). A
+    table that carries a ``sha256`` column — the index build's docs
+    sidecar stores exactly this digest of ``content`` — is trusted as is
+    instead of re-hashing every row."""
+    if "sha256" in t.column_names:
+        return t["sha256"]
+    col = t[text_col]
+    if pa.types.is_null(col.type):  # a block whose texts are all None
+        col = col.cast(pa.string())
+    return pa.array(_sha256_per_row(col), pa.string())
 
 
 def dedup_exact(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> Dataset:
@@ -38,15 +52,11 @@ def dedup_exact(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> 
 
     Returns (keep_id, n_dups) per distinct text — the survivor row id and
     the group size. One hash-groupby; text itself never shuffles (only its
-    sha256 + id).
+    sha256 + id, see :func:`_digest`).
     """
 
     def hash_project(t: pa.Table) -> pa.Table:
-        h = [
-            hashlib.sha256((s or "").encode("utf-8")).hexdigest()
-            for s in t[text_col].to_pylist()
-        ]
-        return pa.table({"h": pa.array(h, pa.string()), id_col: t[id_col]})
+        return pa.table({"h": _digest(t, text_col), id_col: t[id_col]})
 
     def keep_first(g: pa.Table) -> pa.Table:
         ids = np.asarray(g[id_col]).astype(np.int64)
@@ -78,14 +88,13 @@ def dedup_incremental(new_ds: Dataset, prior_ds: Dataset,
     hash join on the digest — no broadcast of the (at scale, enormous)
     history hash set, unlike the broadcast-side
     :func:`~astrologer_ray.pipelines.aggs.anti_join_keys` which is the
-    right tool only when the present-set is small."""
+    right tool only when the present-set is small. Either side may be
+    the build's docs sidecar: its stored ``sha256`` column is reused
+    (:func:`_digest`)."""
 
     def hash_project(col_id: str):
         def fn(t: pa.Table) -> pa.Table:
-            h = [hashlib.sha256((s or "").encode("utf-8")).hexdigest()
-                 for s in t[text_col].to_pylist()]
-            return pa.table({"h": pa.array(h, pa.string()),
-                             col_id: t[col_id]})
+            return pa.table({"h": _digest(t, text_col), col_id: t[col_id]})
         return fn
 
     def keep_first(g: pa.Table) -> pa.Table:

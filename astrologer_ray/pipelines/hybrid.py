@@ -13,7 +13,7 @@ scores — are fused, so a BM25 leg (unbounded scores) and a cosine leg
 
 Scale shape: fusion consumes only the legs' top-window id lists (k·legs
 ids, driver-sized by construction) — the heavy lifting stays in the leg
-engines (block-max WAND actors, per-task ANN top-k); this module is the
+engines (MaxScore top-k actors, per-task ANN top-k); this module is the
 exact, deterministic combiner.
 """
 

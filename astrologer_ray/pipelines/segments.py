@@ -23,14 +23,16 @@ Correctness of multi-segment BM25 (state/searcher.py loads base + segments):
   scores with the COMBINED global stats (N, avgdl summed over segments;
   df summed over per-segment dictionaries), so TAAT scores are bit-exact
   regardless of segmentation.
-* **WAND bounds** — each segment's precomputed block-max tf-norms were
+* **block maxima** — each segment's precomputed block-max tf-norms were
   baked with the global avgdl AT ITS ENCODE TIME (``encode_avgdl`` in its
   meta). tf-norm ``tf/(tf + k1*(1-b+b*dl/a))`` is increasing in ``a`` and
   its ratio between two avgdl values is bounded:
   ``tfn(a')/tfn(a) = (tf + K(a))/(tf + K(a')) <= K(a)/K(a')
   = (1-b+b*dl/a)/(1-b+b*dl/a') < a'/a`` for ``a' > a`` (sup as tf->0,
   dl->inf). So ``stored_max * max(1, avgdl_now/encode_avgdl)`` is a valid
-  upper bound and block-max WAND stays rank-exact.
+  upper bound for a block-skipping reader. The searcher reads none of
+  them: its MaxScore term bounds are the max of each term's weights,
+  decoded under the combined stats, so they are exact by construction.
 
 :func:`compact_index` folds all segments back into the base by re-running
 the post-tokenize stages over the FULL partials set (stage-1 work is never

@@ -1,4 +1,4 @@
-"""Query serving: dictionary + posting shards in an actor pool, block-max WAND.
+"""Query serving: dictionary + posting shards in an actor pool, MaxScore top-k.
 
 The reference's query half is Elasticsearch: term/bool filters and top-k
 served from an index pre-sorted by paging token
@@ -7,20 +7,24 @@ query-time state (dictionary, posting chunks, doc attributes) is loaded once
 per ``Searcher`` — in Ray, once per actor (SURVEY §2.3 ST4: ``map_batches(
 SearchStage, concurrency=N)`` for batch query sets; plain actors for QPS).
 
-Top-k BM25 is document-at-a-time block-max WAND (SURVEY §2.4 J5):
-cursors (one per query term) walk doc_id-ascending postings; the pivot test
-uses term-level upper bounds, refined by the current chunks' *block-level*
-max tf-norms, and skips whole 128-posting blocks whose upper bound cannot
-beat the current threshold. Pruning uses ``ub <= threshold`` which is exact
-for rank-identical results: docs are enumerated doc_id-ascending, so an
-equal-score later doc always loses the (score desc, doc_id asc) tie-break.
-Upper bounds get a 1+1e-12 safety factor against float reassociation.
+Top-k BM25 is term-level MaxScore over cached impacts (Turtle & Flood
+1995), vectorized: each term's decoded ``(ids, weights)`` array is
+LRU-cached with its max weight as the term's upper bound. The
+highest-bound terms form the *essential* set; only docs in their
+posting union are scored (a ``searchsorted`` gather per term), and the
+cut is accepted when the remaining terms' summed bound, times a 1+1e-12
+safety factor against float reassociation, is strictly below the k-th
+candidate score — strict, so the (score desc, doc_id asc) tie-break stays
+exact. Otherwise more terms join the essential set. Queries whose
+essential postings cover a large share of the doc space fall back to
+dense term-at-a-time scatter (``_search_taat``). Both paths add
+contributions in sorted-term order, so scores are bit-identical to the
+oracle.
 """
 
 from __future__ import annotations
 
 import glob
-import heapq
 import os
 
 import numpy as np
@@ -28,105 +32,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from astrologer_ray.functions.codec import BLOCK, decode_block
 from astrologer_ray.functions.tokenizer import tokenize
 from astrologer_ray.pipelines.build import load_meta
 from astrologer_ray.stages.spimi import FIELD_SEP
 from astrologer_ray.state.bm25 import bm25_term_weight, idf
 
-_INF = np.iinfo(np.int64).max
 _UB_SAFETY = 1.0 + 1e-12
-
-
-def _scale_blockmax(t: pa.Table, scale: float) -> pa.Table:
-    """Multiply every value of the ``block_max_tfn`` list column by
-    ``scale`` (vectorized on the flattened child — no per-row loop)."""
-    i = t.schema.get_field_index("block_max_tfn")
-    col = t.column(i).combine_chunks()
-    flat = pc.multiply(col.values, pa.scalar(float(scale), pa.float64()))
-    scaled = pa.ListArray.from_arrays(col.offsets, flat)
-    return t.set_column(i, "block_max_tfn", scaled)
-
-
-class _Cursor:
-    """doc_id-ascending iterator over one term's chunk list with block skips."""
-
-    __slots__ = ("chunks", "ci", "bi", "ids", "tfs", "dls", "pos", "doc", "idf",
-                 "term", "ub", "k1", "b", "avgdl", "is_should", "boost")
-
-    def __init__(self, term, chunks, idf_t, k1, b, avgdl, boost=1.0):
-        self.term = term
-        self.is_should = False
-        self.boost = float(boost)
-        self.chunks = chunks  # list of chunk rows (dicts), chunk_id ascending
-        self.idf = idf_t
-        self.k1, self.b, self.avgdl = k1, b, avgdl
-        # boost scales weight AND bounds identically (weight * boost, the
-        # same association TAAT uses, so strategies stay score-identical)
-        self.ub = idf_t * (k1 + 1.0) * max(
-            max(c["block_max_tfn"]) for c in chunks
-        ) * _UB_SAFETY * self.boost
-        self.ci = 0
-        self._load_block(0, 0)
-
-    def _load_block(self, ci, bi):
-        self.ci, self.bi = ci, bi
-        row = self.chunks[ci]
-        self.ids, self.tfs, self.dls = decode_block(row, bi)
-        self.pos = 0
-        self.doc = int(self.ids[0])
-
-    def block_ub(self) -> float:
-        return (
-            self.idf * (self.k1 + 1.0)
-            * self.chunks[self.ci]["block_max_tfn"][self.bi] * _UB_SAFETY
-        ) * self.boost
-
-    def block_last(self) -> int:
-        return int(self.chunks[self.ci]["block_last"][self.bi])
-
-    def score(self) -> float:
-        tf = float(self.tfs[self.pos])
-        dl = float(self.dls[self.pos])
-        w = bm25_term_weight(self.idf, tf, dl, self.avgdl, self.k1, self.b)
-        return w * self.boost
-
-    def advance(self):
-        self.pos += 1
-        if self.pos < len(self.ids):
-            self.doc = int(self.ids[self.pos])
-            return
-        row = self.chunks[self.ci]
-        nblocks = (row["n"] + BLOCK - 1) // BLOCK
-        if self.bi + 1 < nblocks:
-            self._load_block(self.ci, self.bi + 1)
-        elif self.ci + 1 < len(self.chunks):
-            self._load_block(self.ci + 1, 0)
-        else:
-            self.doc = _INF
-
-    def next_geq(self, target: int):
-        if self.doc >= target:
-            return
-        # skip chunks wholly below target
-        ci = self.ci
-        while ci < len(self.chunks) and self.chunks[ci]["last_doc_id"] < target:
-            ci += 1
-        if ci >= len(self.chunks):
-            self.doc = _INF
-            return
-        row = self.chunks[ci]
-        bl = row["block_last"]
-        bi = self.bi if ci == self.ci else 0
-        # first block whose last id >= target
-        bi = int(np.searchsorted(np.asarray(bl[bi:]), target) + bi)
-        if ci != self.ci or bi != self.bi:
-            self._load_block(ci, bi)
-        self.pos = int(np.searchsorted(self.ids, target))
-        if self.pos >= len(self.ids):  # cannot happen given block_last >= target
-            self.advance()
-            return
-        self.doc = int(self.ids[self.pos])
 
 
 class _ChunkStore:
@@ -134,24 +45,22 @@ class _ChunkStore:
 
     The postings table (sorted by ``(term, last_doc_id)``) stays as flat
     numpy arrays plus one ``term -> (start, stop)`` row-range index; the
-    per-chunk dicts the cursors/decoders consume are materialized only for
-    terms a query actually touches (and cached). Eagerly exploding every
-    row into a Python dict was O(vocab × chunks) objects per actor and
-    dominated actor cold-start and RSS on large shards. Blob columns attach
-    as zero-copy memoryview slices over the Arrow data buffer; list columns
-    as numpy views over the flattened child — no copies either way.
+    per-chunk dicts the decoders consume are materialized only for terms a
+    query actually touches (and cached). Eagerly exploding every row into
+    a Python dict was O(vocab × chunks) objects per actor and dominated
+    actor cold-start and RSS on large shards. Blob columns attach as
+    zero-copy memoryview slices over the Arrow data buffer. The per-block
+    list columns (skip offsets, block maxima) are not loaded: every term is
+    decoded whole, and its score bound is the max of its cached weights.
     """
 
     _SCALARS = ("chunk_id", "shard", "n", "first_doc_id", "last_doc_id",
                 "sum_tf")
-    _LISTS = ("block_last", "block_ids_off", "block_tf_off", "block_dl_off",
-              "block_max_tfn")
 
     def __init__(self, post: pa.Table | None):
         self._ranges: dict[str, tuple[int, int]] = {}
         self._cache: dict[str, list[dict]] = {}
         self._scalar: dict[str, np.ndarray] = {}
-        self._list: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._blob: dict[str, tuple[np.ndarray, memoryview]] = {}
         if post is None or post.num_rows == 0:
             return
@@ -180,14 +89,6 @@ class _ChunkStore:
         for c in self._SCALARS:
             if c in names:
                 self._scalar[c] = post.column(c).combine_chunks().to_numpy()
-        for c in self._LISTS:
-            if c in names:
-                arr = post.column(c).combine_chunks()
-                # raw offsets index the raw (unsliced) child, so pairing
-                # buffers()[1] with .values is offset-consistent
-                offs = np.frombuffer(arr.buffers()[1], dtype=np.int32)
-                offs = offs[arr.offset: arr.offset + len(arr) + 1]
-                self._list[c] = (offs, arr.values.to_numpy())
         for c in (n for n in post.column_names if n.endswith("_bytes")):
             arr = post.column(c).combine_chunks()
             if arr.null_count:
@@ -226,8 +127,6 @@ class _ChunkStore:
             r = {"term": term}
             for c, col in self._scalar.items():
                 r[c] = int(col[i])
-            for c, (offs, vals) in self._list.items():
-                r[c] = vals[offs[i]:offs[i + 1]]
             for c, (offs, data) in self._blob.items():
                 r[c] = data[offs[i]:offs[i + 1]]
             rows.append(r)
@@ -301,22 +200,14 @@ class Searcher:
                 return list(ex.map(lambda p: pq.read_table(p, **kw), paths))
 
         tables = []
-        for gdir, gmeta in gens:
+        for gdir, _ in gens:
             gt = _read_many(
                 sorted(glob.glob(os.path.join(gdir, "postings", "*.parquet"))),
                 filters=filt,
             )
             if not gt:
                 continue
-            t = pa.concat_tables(gt)
-            # this generation's block maxima were baked with the global
-            # avgdl at ITS encode time; scale to a valid bound under the
-            # current (larger-corpus) avgdl — tf-norm ratio < avgdl ratio
-            # (proof: pipelines/segments.py module docstring)
-            enc = float(gmeta.get("encode_avgdl") or gmeta.get("avgdl") or 0.0)
-            if enc > 0 and self.avgdl > enc:
-                t = _scale_blockmax(t, self.avgdl / enc)
-            tables.append(t)
+            tables.append(pa.concat_tables(gt))
         post = pa.concat_tables(tables) if tables else None
 
         if post is not None and post.num_rows:
@@ -452,16 +343,21 @@ class Searcher:
 
         return term_hash64(term) % self.n_shards in self.shards
 
-    # dense score-accumulator TAAT is used while a float64 array over the
-    # doc space fits comfortably (8 MB per 1M docs); beyond that (or per
-    # explicit request) document-at-a-time block-max WAND takes over
+    # dense TAAT fallback: while a float64 accumulator over the local doc
+    # space is cheap (8 MB per 1M docs), a query whose essential postings
+    # exceed DENSE_FRAC of the local docs scatters into it instead of
+    # gathering per candidate; above TAAT_MAX_DOCS MaxScore always runs
     TAAT_MAX_DOCS = 8_000_000
-    # decoded (ids, weights) LRU cache: a term's contribution array is
-    # query-independent, and Zipf head terms (df ~ N) recur constantly —
-    # without the cache every such query re-decodes ~N varbyte postings
+    DENSE_FRAC = 0.25
+    # decoded (ids, weights, max weight) LRU cache: a term's contribution
+    # array is query-independent, and Zipf head terms (df ~ N) recur
+    # constantly — without the cache every such query re-decodes ~N
+    # varbyte postings
     TAAT_CACHE_VALS = 32_000_000  # ~512 MB ceiling
 
-    def _term_contribution(self, t: str):
+    def _term_entry(self, t: str) -> tuple[np.ndarray, np.ndarray, float]:
+        """One term's cached ``(local ids ascending, BM25 weights, max
+        weight)`` — the max is the term's exact MaxScore upper bound."""
         ent = self._taat_cache.get(t)
         if ent is not None:
             self._taat_cache.move_to_end(t)
@@ -485,23 +381,24 @@ class Searcher:
             # cache LOCAL ids once at decode time so every query-time
             # scatter indexes the range-sized accumulators directly
             ids = ids - self.doc_lo
-        if self._taat_cache_vals + len(ids) <= self.TAAT_CACHE_VALS:
-            self._taat_cache[t] = (ids, w)
+        ent = (ids, w, float(w.max()))
+        while self._taat_cache and self._taat_cache_vals + len(ids) > self.TAAT_CACHE_VALS:
+            _, (old_i, _w, _ub) = self._taat_cache.popitem(last=False)
+            self._taat_cache_vals -= len(old_i)
+        if len(ids) <= self.TAAT_CACHE_VALS:
+            self._taat_cache[t] = ent
             self._taat_cache_vals += len(ids)
-        else:
-            while self._taat_cache and self._taat_cache_vals + len(ids) > self.TAAT_CACHE_VALS:
-                _, (old_i, _w) = self._taat_cache.popitem(last=False)
-                self._taat_cache_vals -= len(old_i)
-            if len(ids) <= self.TAAT_CACHE_VALS:
-                self._taat_cache[t] = (ids, w)
-                self._taat_cache_vals += len(ids)
+        return ent
+
+    def _term_contribution(self, t: str) -> tuple[np.ndarray, np.ndarray]:
+        ids, w, _ub = self._term_entry(t)
         return ids, w
 
     @staticmethod
     def _check_boosts(boosts) -> None:
         """ES rejects non-positive boosts; so do we — a negative boost
-        would turn the WAND upper bound into a lower bound and break the
-        TAAT==WAND contract."""
+        would turn a term's MaxScore upper bound into a lower bound and
+        break the exactness of the pruned path."""
         if boosts:
             for t, b in boosts.items():
                 if not float(b) > 0.0:
@@ -518,8 +415,8 @@ class Searcher:
         the ONE copy of the TAAT hot loop (search/collapse/top_hits all
         call it). Returns (scores, matched, touched); callers MUST reset
         with :meth:`_taat_reset` in a ``finally``. A boost multiplies the
-        cached weight array (weight * boost — the association the WAND
-        cursor mirrors); the LRU'd array itself is never mutated."""
+        cached weight array (weight * boost — the association the MaxScore
+        gather mirrors); the LRU'd array itself is never mutated."""
         scores, matched = self._ensure_score_bufs()
         touched = []
         for t in qterms:
@@ -548,12 +445,11 @@ class Searcher:
 
         Bit-identical to the oracle: same weight expression, contributions
         added in sorted-term order (scores[ids] += w is elementwise add in
-        that order). Beats the python-loop WAND cursors by ~100x on Zipf
-        head terms (df ~ N) because the whole posting list decodes and
-        scores vectorized. The dense accumulators are allocated ONCE per
+        that order). The dense accumulators are allocated ONCE per
         searcher and reset by re-scattering zeros over only the touched
         ids — per-query memory traffic is bounded by the posting lists
-        actually visited, not by N.
+        actually visited, not by N. The fallback of
+        :meth:`_search_maxscore` when most docs are candidates anyway.
         """
         scores, matched, touched = self._taat_accumulate(qterms, boosts)
         should_count = None
@@ -580,29 +476,107 @@ class Searcher:
                 cand = cand[should_count[cand] >= msm]
         if allowed is not None:
             cand = cand[allowed[cand]]
-        if after is not None and len(cand):
-            # deep pagination: keep docs strictly AFTER the (score, doc_id)
-            # cursor in (score desc, doc_id asc) order — the reference's
-            # paging-token model (search_after, es/indices.go paging sort)
-            a_s, a_d = float(after[0]), int(after[1])
-            cs = scores[cand]
-            gids = cand + self.doc_lo
-            cand = cand[(cs < a_s) | ((cs == a_s) & (gids > a_d))]
         try:
-            if len(cand) == 0:
-                return []
-            kk = min(k, len(cand))
-            # cheap pre-cut before the exact (score desc, doc_id asc) sort:
-            # keep everything >= the k-th score so boundary ties survive
-            if len(cand) > 4 * kk:
-                s = scores[cand]
-                kth = s[np.argpartition(-s, kk - 1)[kk - 1]]
-                cand = cand[s >= kth]
-            order = np.lexsort((cand, -scores[cand]))[:kk]
-            lo = self.doc_lo
-            return [(int(cand[i]) + lo, float(scores[cand[i]])) for i in order]
+            cs = scores[cand]
+            if after is not None:
+                keep = self._after_mask(cand, cs, after)
+                cand, cs = cand[keep], cs[keep]
+            return self._topk(cand, cs, k)
         finally:
             self._taat_reset(touched, should_count)
+
+    def _after_mask(self, cand: np.ndarray, cs: np.ndarray, after) -> np.ndarray:
+        """Deep pagination: keep docs strictly AFTER the (score, doc_id)
+        cursor in (score desc, doc_id asc) order — the reference's
+        paging-token model (search_after, es/indices.go paging sort)."""
+        a_s, a_d = float(after[0]), int(after[1])
+        return (cs < a_s) | ((cs == a_s) & (cand + self.doc_lo > a_d))
+
+    def _topk(self, cand: np.ndarray, cs: np.ndarray, k: int
+              ) -> list[tuple[int, float]]:
+        """The k best of local ids ``cand`` scored ``cs``, as global
+        ``(doc_id, score)`` in (score desc, doc_id asc) order."""
+        if len(cand) == 0:
+            return []
+        kk = min(k, len(cand))
+        # cheap pre-cut before the exact (score desc, doc_id asc) sort:
+        # keep everything >= the k-th score so boundary ties survive
+        if len(cand) > 4 * kk:
+            keep = cs >= cs[np.argpartition(-cs, kk - 1)[kk - 1]]
+            cand, cs = cand[keep], cs[keep]
+        order = np.lexsort((cand, -cs))[:kk]
+        lo = self.doc_lo
+        return [(int(cand[i]) + lo, float(cs[i])) for i in order]
+
+    def _search_maxscore(self, qterms, k, allowed, should_terms=None,
+                         min_should_match=0, after=None, boosts=None,
+                         dense_ok=True):
+        """Exact term-level MaxScore top-k (module docstring): same
+        arguments and bit-identical results as :meth:`_search_taat`, but
+        only docs in the essential terms' posting union are scored, by a
+        ``searchsorted`` gather into each term's sorted ids — nothing
+        N-sized is allocated. With ``dense_ok`` a query whose essential
+        postings exceed ``DENSE_FRAC`` of the local docs goes to
+        :meth:`_search_taat` instead."""
+        sterms = sorted({t for t in should_terms or () if self.owns_term(t)}
+                        - set(qterms))
+        # scoring order == TAAT's: must terms, then should terms, each sorted
+        terms = ([(t, False) for t in qterms if t in self.postings]
+                 + [(t, True) for t in sterms if t in self.postings])
+        if not terms:
+            return []
+        msm = max(min_should_match, 0 if qterms else 1) if should_terms else 0
+        ents = [self._term_entry(t) for t, _ in terms]
+        bst = [float(boosts[t]) if boosts and t in boosts else None
+               for t, _ in terms]
+        ubs = [ub if b is None else ub * b for (_, _, ub), b in zip(ents, bst)]
+        # essential terms are a prefix of the highest-bound-first order;
+        # rest[e] bounds the score of any doc outside the first e terms'
+        # postings (summed smallest first, then the safety factor)
+        order = sorted(range(len(terms)), key=lambda i: -ubs[i])
+        rest = np.cumsum([0.0] + [ubs[i] for i in order[::-1]])[::-1] * _UB_SAFETY
+        lens = np.cumsum([len(ents[i][0]) for i in order])
+        # a k-th score needs k candidates: start with at least k postings
+        n_ess = min(int(np.searchsorted(lens, k)) + 1, len(terms))
+        while True:
+            if dense_ok and lens[n_ess - 1] > self.DENSE_FRAC * self.n_local:
+                return self._search_taat(qterms, k, allowed, should_terms,
+                                         min_should_match, after, boosts)
+            ess = [ents[i][0] for i in order[:n_ess]]
+            cand = ess[0] if n_ess == 1 else np.unique(np.concatenate(ess))
+            if allowed is not None:
+                cand = cand[allowed[cand]]
+            cs = np.zeros(len(cand))
+            keep = np.zeros(len(cand), bool) if qterms else np.ones(len(cand), bool)
+            cnt = np.zeros(len(cand), np.int32) if msm else None
+            for (_, is_should), (ids, w, _), b in zip(terms, ents, bst):
+                pos = ids.searchsorted(cand)
+                np.minimum(pos, len(ids) - 1, out=pos)
+                hit = ids[pos] == cand
+                # weight * hit is the weight or +0.0, and adding +0.0
+                # leaves every float unchanged
+                cs += (w[pos] if b is None else w[pos] * b) * hit
+                if not is_should:
+                    keep |= hit
+                elif cnt is not None:
+                    cnt += hit
+            if cnt is not None:
+                keep &= cnt >= msm
+            if after is not None:
+                keep &= self._after_mask(cand, cs, after)
+            cand, cs = cand[keep], cs[keep]
+            if n_ess == len(terms):
+                return self._topk(cand, cs, k)
+            if len(cs) < k:  # no k-th score yet: double the essential set
+                n_ess = min(2 * n_ess, len(terms))
+                continue
+            kth = np.partition(cs, len(cs) - k)[len(cs) - k]
+            if rest[n_ess] < kth:
+                return self._topk(cand, cs, k)
+            # jump to the smallest set the current k-th score would accept
+            # (a larger k-th score might have needed fewer terms, but a
+            # long query then takes a few rounds, not one per term)
+            n_ess = max(n_ess + 1, int(np.argmax(rest < kth)))
 
     def add_runtime_field(self, name: str, fn) -> None:
         """ES *runtime field*: a doc attribute computed at query time from
@@ -1092,9 +1066,11 @@ class Searcher:
         boosts: dict[str, float] | None = None,
         min_score: float | None = None,
     ) -> list[dict]:
-        """Exact top-k BM25. ``strategy``: "taat" (vectorized term-at-a-
-        time), "wand" (block-max WAND), or "auto" (taat while the doc space
-        fits a dense accumulator). Both are rank-identical to the oracle.
+        """Exact top-k BM25. ``strategy``: "auto" (term-level MaxScore
+        over cached impacts, falling back to dense term-at-a-time scoring
+        when the essential postings cover a large share of the doc
+        space), "wand" (always the pruned MaxScore path) or "taat" (always
+        dense). All three are rank- and score-identical to the oracle.
 
         ``after=(score, doc_id)`` returns the k docs strictly AFTER that
         cursor in (score desc, doc_id asc) order — ES ``search_after``
@@ -1111,7 +1087,7 @@ class Searcher:
 
         ``boosts`` maps term -> query-time boost (ES ``term^2.5``): the
         term's BM25 contribution is multiplied by the boost wherever the
-        term appears (must or should clause); TAAT and WAND stay
+        term appears (must or should clause); every strategy stays
         score-identical.
 
         ``min_score`` (ES ``min_score``) drops hits scoring below the
@@ -1134,124 +1110,17 @@ class Searcher:
 
         if strategy not in ("auto", "taat", "wand"):
             raise ValueError(f"unknown strategy {strategy!r}: auto|taat|wand")
-        # gate on the LOCAL doc count: a doc-range shard of a huge index
-        # sizes its dense accumulators n_local, so TAAT stays cheap there
-        # even when the global N is large
-        use_taat = strategy == "taat" or (
-            strategy == "auto" and self.n_local <= self.TAAT_MAX_DOCS
-        )
-        if use_taat:
-            hits = self._search_taat(qterms, k, allowed,
-                                     should_terms, min_should_match, after,
-                                     boosts)
-            return self._format(self._min_score_cut(hits, min_score),
-                                decorate)
-
-        sterms = sorted({t for t in (should_terms or []) if self.owns_term(t)}
-                        - set(qterms))
-        msm = max(min_should_match, 0 if qterms else 1) if sterms else 0
-        cursors = []
-        for is_should, tl in ((False, qterms), (True, sterms)):
-            for t in tl:
-                chunks = self.postings.get(t)
-                if chunks:
-                    idf_t = idf(self.N, int(self.df[t]))
-                    bst = float(boosts.get(t, 1.0)) if boosts else 1.0
-                    c = _Cursor(t, chunks, idf_t, self.k1, self.b,
-                                self.avgdl, boost=bst)
-                    c.is_should = is_should
-                    cursors.append(c)
-        n_must = sum(1 for c in cursors if not c.is_should)
-
-        heap: list[tuple[float, int]] = []  # (score, -doc_id): min = worst
-        theta = -np.inf
-
-        while cursors:
-            cursors_by_doc = sorted(cursors, key=lambda c: c.doc)
-            if cursors_by_doc[0].doc == _INF:
-                break
-            # pivot: first prefix whose term-level UB sum can beat theta
-            acc = 0.0
-            pivot_i = -1
-            for i, c in enumerate(cursors_by_doc):
-                acc += c.ub
-                if acc > theta:
-                    pivot_i = i
-                    break
-            if pivot_i < 0:
-                break
-            pivot_doc = cursors_by_doc[pivot_i].doc
-            if pivot_doc == _INF:
-                break
-            while (
-                pivot_i + 1 < len(cursors_by_doc)
-                and cursors_by_doc[pivot_i + 1].doc == pivot_doc
-            ):
-                pivot_i += 1
-
-            if cursors_by_doc[0].doc == pivot_doc:
-                # all prefix cursors sit exactly at pivot_doc (sorted order);
-                # block-max refinement: tighter UB from their current blocks
-                prefix = cursors_by_doc[: pivot_i + 1]
-                block_ub = sum(c.block_ub() for c in prefix)
-                if block_ub <= theta:
-                    # skip to the earliest point where the bound can change:
-                    # a prefix cursor's current block ends, or the next
-                    # non-pivot cursor starts contributing
-                    nxt = min(c.block_last() for c in prefix) + 1
-                    if pivot_i + 1 < len(cursors_by_doc):
-                        nxt = min(nxt, cursors_by_doc[pivot_i + 1].doc)
-                    nxt = max(nxt, pivot_doc + 1)
-                    for c in prefix:
-                        c.next_geq(nxt)
-                else:
-                    if allowed is None or allowed[pivot_doc - self.doc_lo]:
-                        # contributions in sorted-term order == cursors order
-                        # (must terms first, then should terms); should-only
-                        # matches and msm shortfalls are rejected here —
-                        # pruning stays safe because UB sums overestimate
-                        s = 0.0
-                        must_any = n_must == 0
-                        should_cnt = 0
-                        for c in cursors:
-                            if c.doc == pivot_doc:
-                                s += c.score()
-                                if c.is_should:
-                                    should_cnt += 1
-                                else:
-                                    must_any = True
-                        # search_after cursor: only docs strictly after it
-                        # in (score desc, doc_id asc) order may enter the
-                        # heap (UB pruning is unaffected — it only skips
-                        # docs that cannot beat the kept heap's minimum)
-                        ok_after = after is None or (
-                            s < after[0]
-                            or (s == after[0] and pivot_doc > after[1])
-                        )
-                        if (must_any and should_cnt >= msm and ok_after) and (
-                                s > theta or len(heap) < k):
-                            heapq.heappush(heap, (s, -pivot_doc))
-                            if len(heap) > k:
-                                heapq.heappop(heap)
-                            if len(heap) == k:
-                                theta = heap[0][0]
-                    for c in cursors_by_doc:
-                        if c.doc == pivot_doc:
-                            c.advance()
-            else:
-                # advance the largest-UB cursor strictly below the pivot up to
-                # pivot_doc (a cursor in the prefix may already equal the
-                # pivot; moving one of those would not make progress)
-                pre = [c for c in cursors_by_doc[:pivot_i] if c.doc < pivot_doc]
-                mover = max(pre, key=lambda c: c.ub)
-                mover.next_geq(pivot_doc)
-            cursors = [c for c in cursors if c.doc != _INF]
-
-        out = sorted(heap, key=lambda t2: (-t2[0], -t2[1]))
-        return self._format(
-            self._min_score_cut([(-nd, s) for s, nd in out], min_score),
-            decorate,
-        )
+        if strategy == "taat":
+            hits = self._search_taat(qterms, k, allowed, should_terms,
+                                     min_should_match, after, boosts)
+        else:
+            # gate on the LOCAL doc count: a doc-range shard of a huge
+            # index sizes its dense accumulators n_local
+            hits = self._search_maxscore(
+                qterms, k, allowed, should_terms, min_should_match, after,
+                boosts, dense_ok=(strategy == "auto"
+                                  and self.n_local <= self.TAAT_MAX_DOCS))
+        return self._format(self._min_score_cut(hits, min_score), decorate)
 
     @staticmethod
     def _min_score_cut(
@@ -1881,7 +1750,7 @@ class Searcher:
         its BM25). Exact: every candidate is TAAT-scored, then decayed and
         reranked (combined desc, doc_id asc); decay can promote low-BM25
         docs, so the full candidate set is enumerated — at 10^9 docs use
-        the multiply-mode WAND bound instead (decay <= 1 keeps the BM25
+        the multiply-mode MaxScore bound instead (decay <= 1 keeps the BM25
         upper bound valid). Requires ``load_docs=True``."""
         import math
 
@@ -1989,7 +1858,7 @@ class Searcher:
         Docs matching NO function keep the neutral function-score 1.0
         (ES behavior). Exact like :meth:`function_score`: functions can
         promote low-BM25 docs, so the full candidate set is enumerated and
-        reranked — single-gauss multiply callers wanting the WAND bound
+        reranked — single-gauss multiply callers wanting the MaxScore bound
         should use :meth:`function_score`. Requires ``load_docs=True``."""
         if k <= 0:
             return []
@@ -2090,7 +1959,7 @@ class Searcher:
         :meth:`function_score`'s multiplier, exactly as ES composes a
         rank_feature clause inside bool.should. Exact: the full BM25
         candidate set is TAAT-scored then re-ranked (the additive bound
-        bm25_ub + boost keeps WAND viable at 10^9 docs; this
+        bm25_ub + boost keeps MaxScore viable at 10^9 docs; this
         implementation enumerates candidates). Negative feature values
         clamp to 0 (ES requires non-negative features). Requires
         ``load_docs=True``."""
@@ -2149,7 +2018,7 @@ class Searcher:
         doc's attr value. A missing value (NaN) contributes 0 — ES skips
         docs without the field. Exact like :meth:`search_rank_feature`:
         the full candidate set is TAAT-scored then re-ranked (the
-        additive bound bm25_ub + boost keeps WAND viable at scale).
+        additive bound bm25_ub + boost keeps MaxScore viable at scale).
         Requires ``load_docs=True``."""
         if k <= 0:
             return []

@@ -218,26 +218,13 @@ def bench_append(full_build_sec: float) -> dict:
 
 
 def bench_query_qps(n_queries: int = 800) -> dict:
-    import numpy as np
     import ray.data as rd
 
     from astrologer_ray.state.searcher import Searcher, SearchStage
 
-    # pick query terms from the real dictionary: head / mid / tail mix
     s = Searcher(BENCH_INDEX, load_docs=False)
-    by_df = sorted(s.df.items(), key=lambda kv: -kv[1])
-    head = [t for t, _ in by_df[:20]]
-    mid = [t for t, _ in by_df[len(by_df) // 2 : len(by_df) // 2 + 200]]
-    tail = [t for t, _ in by_df[-200:]]
-    rng = np.random.default_rng(3)
-    queries = []
-    for i in range(n_queries):
-        terms = (
-            list(rng.choice(head, size=1))
-            + list(rng.choice(mid, size=int(rng.integers(1, 3))))
-            + list(rng.choice(tail, size=1))
-        )
-        queries.append({"qid": i, "terms": terms, "k": 10})
+    queries = [{"qid": i, "terms": terms, "k": k}
+               for i, (terms, k) in enumerate(_sample_queries(n_queries, s))]
     # driver-local steady-state per-query latency on ONE warm Searcher:
     # decomposes pool QPS into per-query compute/bandwidth cost (this
     # number) vs actor-pool scheduling + memory contention (the residual)
@@ -270,18 +257,19 @@ def bench_query_qps(n_queries: int = 800) -> dict:
             "single_lat_ms_p95": round(lat_p95, 2)}
 
 
-def _sample_queries(n_queries: int) -> list[tuple[list[str], int]]:
-    """Deterministic head/mid/tail query mix from the real dictionary."""
+def _sample_queries(n_queries: int, s=None) -> list[tuple[list[str], int]]:
+    """Deterministic head/mid/tail query mix from the real dictionary
+    (``s``: an open ``Searcher`` on ``BENCH_INDEX`` to reuse)."""
     import numpy as np
 
-    from astrologer_ray.state.searcher import Searcher
+    if s is None:
+        from astrologer_ray.state.searcher import Searcher
 
-    s = Searcher(BENCH_INDEX, load_docs=False)
+        s = Searcher(BENCH_INDEX, load_docs=False)
     by_df = sorted(s.df.items(), key=lambda kv: -kv[1])
     head = [t for t, _ in by_df[:20]]
     mid = [t for t, _ in by_df[len(by_df) // 2 : len(by_df) // 2 + 200]]
     tail = [t for t, _ in by_df[-200:]]
-    del s
     rng = np.random.default_rng(3)
     return [
         (

@@ -38,3 +38,23 @@ def test_pca_matches_numpy_and_is_partition_invariant(ray_session):
     P = np.stack(out["embedding_pca"].to_numpy()).astype(np.float64)
     assert P.shape == (600, 3)
     assert P.var(axis=0).sum() / Xf.var(axis=0).sum() > 0.9
+
+
+def test_pca_fit_skips_empty_blocks(ray_session):
+    """A filter that empties most blocks fits the same PCA as the
+    surviving rows alone; a dataset with no rows left is a clear error."""
+    import numpy as np
+    import pytest
+    import ray.data as rd
+
+    from astrologer_ray.pipelines.ann import pca_fit
+
+    X = np.random.default_rng(9).normal(size=(200, 5)) * [5, 3, 2, 1, .5]
+    rows = [{"vec_id": i, "embedding": X[i].tolist()} for i in range(200)]
+    ds = rd.from_items(rows).repartition(8)
+    got = pca_fit(ds.filter(lambda r: r["vec_id"] < 40), 2)
+    want = pca_fit(rd.from_items(rows[:40]), 2)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, atol=1e-9)
+    with pytest.raises(ValueError, match="no 'embedding' rows"):
+        pca_fit(ds.filter(lambda r: False), 2)

@@ -52,6 +52,38 @@ def test_dedup_exact_synthetic(ray_session):
     assert got == {0: 3, 1: 1, 4: 1}
 
 
+def test_dedup_reuses_stored_sha256(ray_session):
+    """dedup_incremental / dedup_exact give the same result from a table
+    carrying the build's ``sha256`` digest column (no text at all) as from
+    the raw text."""
+    import hashlib
+
+    import ray.data as rd
+
+    from astrologer_ray.pipelines.dedup import dedup_exact, dedup_incremental
+
+    texts = ["aaa", "bbb", "aaa", None, "ccc", "", "bbb", "ddd", "aaa"]
+    rows = [{"doc_id": i, "text": t} for i, t in enumerate(texts)]
+    digests = [{"doc_id": i, "sha256": hashlib.sha256(
+        (t or "").encode()).hexdigest()} for i, t in enumerate(texts)]
+
+    def result(df):
+        return sorted(zip(df["keep_id"], df["n_dups"]))
+
+    # one join partition: with more hash partitions than distinct digests
+    # some partition is empty, and the Ray hash join fails on it (an open
+    # defect, independent of where the digest comes from)
+    for a, b in ((rows, digests), (digests, rows)):
+        got = dedup_incremental(rd.from_items(a[4:]), rd.from_items(b[:4]),
+                                num_partitions=1).to_pandas()
+        want = dedup_incremental(rd.from_items(rows[4:]),
+                                 rd.from_items(rows[:4]),
+                                 num_partitions=1).to_pandas()
+        assert result(got) == result(want) == [(4, 1), (7, 1)]
+    assert (result(dedup_exact(rd.from_items(digests)).to_pandas())
+            == result(dedup_exact(rd.from_items(rows)).to_pandas()))
+
+
 def test_minhash_finds_near_dups(ray_session):
     import ray.data as rd
 
@@ -1486,3 +1518,22 @@ def test_heavy_hitters_mg_degenerate_blocks(ray_session):
         rd.from_items([{"v": "x"}]).filter(lambda r: False), "v", k=8)
     assert len(empty) == 0 and list(empty.columns) == [
         "item", "lower", "upper"]
+
+
+def test_heavy_hitters_mg_keeps_int_keys_and_skips_nulls(ray_session):
+    """An int64 key column comes back as int64 items, and a None key is
+    neither counted nor a crash in the per-block np.unique."""
+    import ray.data as rd
+
+    from astrologer_ray.pipelines.aggs import heavy_hitters_mg
+
+    vals = [7] * 50 + [3] * 20 + [None] * 5 + list(range(100, 130))
+    rows = [{"v": v} for v in vals]
+    for parts in (1, 3):
+        out = heavy_hitters_mg(rd.from_items(rows).repartition(parts), "v", k=4)
+        assert str(out["item"].dtype) == "int64"
+        top = dict(zip(out["item"].tolist(), out["lower"].tolist()))
+        upper = dict(zip(out["item"].tolist(), out["upper"].tolist()))
+        assert list(top)[:2] == [7, 3]
+        for it, want in ((7, 50), (3, 20)):
+            assert top[it] <= want <= upper[it]

@@ -1588,3 +1588,113 @@ def test_terms_enum(kw_index):
     langs = sorted({r[3] for r in rows})
     got = execute_terms_enum(s, {"field": "lang", "size": 50})
     assert got == {"terms": langs, "complete": True}
+
+
+# ---------------------------------------------------------------- MaxScore
+
+ZIPF_VOCAB = ([f"w{i}" for i in range(150)]
+              + ["mergeSort", "buildIndex", "fooBar", "readFile", "HTTP_PORT"])
+# a tie at the k-th score that straddles essential and non-essential terms:
+# qalpha and qgamma both have df=2, and docs 100 and 200 have equal tf and
+# dl, so their single-term weights are bit-identical. qalpha's other doc
+# (150) outweighs everything, making qalpha the lone first essential term;
+# its k=2 cut then sits exactly at qgamma's bound, the strict check fails,
+# and doc 100 — reachable only through qgamma — wins the tie on doc_id.
+TIE_DOCS = {100: "qgamma w7 w8 w9", 150: "qalpha qalpha",
+            200: "qalpha w7 w8 w9", 250: "qgamma " + " w1" * 30}
+
+
+def _zipf_rows(lo: int, hi: int) -> list[dict]:
+    rng = np.random.default_rng(5 + lo)
+    p = 1.0 / np.arange(1, len(ZIPF_VOCAB) + 1) ** 1.1
+    rows = []
+    for i in range(lo, hi):
+        content = TIE_DOCS.get(i) or " ".join(
+            rng.choice(ZIPF_VOCAB, size=int(rng.integers(3, 60)), p=p / p.sum()))
+        rows.append({"repo": f"r{i:05d}", "path": "f.py", "commit": "c0",
+                     "lang": ["py", "go", "rs"][i % 3], "content": content})
+    return rows
+
+
+@pytest.fixture(scope="module")
+def maxscore_env(ray_session, tmp_path_factory):
+    """One 600-doc Zipf corpus indexed twice: a single build (served whole
+    and as a doc-range shard) and a base + appended segment."""
+    import pyarrow as pa
+
+    from astrologer_ray.pipelines.segments import append_segment
+
+    d = tmp_path_factory.mktemp("maxscore")
+    f0, f1 = str(d / "part-000.parquet"), str(d / "part-001.parquet")
+    rows = _zipf_rows(0, 600)
+    pq.write_table(pa.Table.from_pylist(rows[:400]), f0)
+    pq.write_table(pa.Table.from_pylist(rows[400:]), f1)
+    single, two_gen = str(d / "single"), str(d / "two_gen")
+    kw = dict(partition_rows=100, n_shards=2, chunk_bits=6)
+    build_index([f0, f1], single, **kw)
+    build_index([f0], two_gen, **kw)
+    append_segment([f0, f1], two_gen, partition_rows=100)
+    return {"single": single, "two_gen": two_gen,
+            "contents": [r["content"] for r in rows]}
+
+
+def _maxscore_searcher(env, variant) -> Searcher:
+    if variant == "range":  # chunk_bits=6: docs [64, 600)
+        s = Searcher(env["single"], chunk_range=(1, 10))
+        assert s.doc_lo == 64 and s.n_local == 536
+        return s
+    return Searcher(env["two_gen" if variant == "two_gen" else "single"])
+
+
+def _pairs(hits):
+    return [(h["doc_id"], h["score"]) for h in hits]
+
+
+@pytest.mark.parametrize("variant", ["single", "range", "two_gen"])
+def test_maxscore_matches_taat_and_oracle(maxscore_env, variant):
+    """Seeded Zipf queries: the pruned path ("wand"), dense TAAT and auto
+    equal oracle_topk exactly in (doc_id, score) for k in {1, 10, n_local}."""
+    contents = maxscore_env["contents"]
+    s = _maxscore_searcher(maxscore_env, variant)
+    allowed = np.zeros(len(contents), dtype=bool)
+    allowed[s.doc_lo:s.doc_hi] = True
+    vocab = sorted(s.df, key=lambda t: (-s.df[t], t))
+    p = 1.0 / np.arange(1, len(vocab) + 1) ** 1.1
+    rng = np.random.default_rng(17)
+    queries = [list(rng.choice(vocab, size=int(rng.integers(1, 7)), p=p / p.sum()))
+               for _ in range(25)]
+    for q in queries + [["qalpha", "qgamma"]]:
+        ranked = oracle_topk(contents, q, k=len(contents), allowed=allowed)
+        for k in (1, 10, s.n_local):
+            for strategy in ("wand", "taat", "auto"):
+                got = _pairs(s.search(q, k=k, strategy=strategy))
+                assert got == ranked[:k], f"[{variant}/{strategy}] {q} k={k}"
+    tie = s.search(["qalpha", "qgamma"], k=2, strategy="wand")
+    assert [h["doc_id"] for h in tie] == [150, 100]
+    assert tie[1]["score"] == s.search(["qalpha"], k=2)[1]["score"]
+
+
+@pytest.mark.parametrize("variant", ["single", "range", "two_gen"])
+def test_maxscore_should_boost_after_match_taat(maxscore_env, variant):
+    """should / minimum_should_match / boosts / search_after through the
+    pruned path stay identical to dense TAAT."""
+    s = _maxscore_searcher(maxscore_env, variant)
+    vocab = sorted(s.df, key=lambda t: (-s.df[t], t))
+    p = 1.0 / np.arange(1, len(vocab) + 1) ** 1.1
+    rng = np.random.default_rng(23)
+
+    def pick(lo, hi):
+        return list(rng.choice(vocab, size=int(rng.integers(lo, hi)), p=p / p.sum()))
+
+    for _ in range(40):
+        must, should = pick(0, 4), pick(0, 4)
+        boosts = {t: float(rng.choice([0.5, 2.5])) for t in must + should
+                  if rng.random() < 0.5} or None
+        kw = dict(k=int(rng.choice([1, 10, s.n_local])), should_terms=should,
+                  min_should_match=int(rng.integers(0, 3)), boosts=boosts)
+        want = _pairs(s.search(must, strategy="taat", **kw))
+        assert _pairs(s.search(must, strategy="wand", **kw)) == want, (must, kw)
+        if len(want) > 1:
+            after = want[len(want) // 2][::-1]
+            assert (_pairs(s.search(must, strategy="wand", after=after, **kw))
+                    == _pairs(s.search(must, strategy="taat", after=after, **kw)))

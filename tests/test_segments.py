@@ -79,8 +79,8 @@ def test_append_rank_and_score_identical(seg_env):
     assert sa.avgdl == pytest.approx(sf.avgdl, abs=1e-12)
     assert sa.df == sf.df  # dictionary sums across generations
     for q in QUERIES:
-        # taat is stats-exact; wand additionally exercises the avgdl-ratio
-        # rescaling of the base generation's block maxima
+        # taat is dense; wand runs the pruned MaxScore path, whose term
+        # bounds come from weights decoded under the combined stats
         assert _hits(sa, q, strategy="taat") == _hits(sf, q, strategy="taat")
         assert _hits(sa, q, strategy="wand") == _hits(sf, q, strategy="wand")
 
