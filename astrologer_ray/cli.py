@@ -505,9 +505,15 @@ def cmd_search(args) -> int:
     if getattr(args, "aliases", None):
         # resolve through the alias registry (ES: an alias in the URL);
         # an alias filter composes into every query below
+        import os
+
         from astrologer_ray.state.aliases import resolve
 
         dirs, alias_filt = resolve(args.aliases, args.index)
+        # a rolled-over generation is created empty and has nothing to
+        # read until a build completes it (_SUCCESS)
+        dirs = [d for d in dirs
+                if os.path.exists(os.path.join(d, "_SUCCESS"))]
         if not dirs:
             print(f"alias {args.index!r} resolves to no indexes",
                   file=sys.stderr)

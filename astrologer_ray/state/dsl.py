@@ -101,8 +101,9 @@ methods — this module adds translation, not retrieval):
   inside a terms/histogram parent (``buckets_path``
   to a sibling metric or ``_count``; scripts take the arithmetic
   subset of painless over ``params.*``); histogram-walk pipeline aggs
-  ``rate`` (per-bucket count/field-sum scaled to a unit by the parent
-  interval), ``cumulative_cardinality`` (exact running distinct over a
+  ``rate`` (per-bucket count/field-sum scaled to ``unit`` by the parent
+  interval, unscaled without one; ``mode`` sum only),
+  ``cumulative_cardinality`` (exact running distinct over a
   sibling cardinality's field) and ``moving_percentiles`` (exact over
   the moving_fn-style bucket window); and sibling ``avg_bucket``,
   ``sum_bucket``, ``min_bucket``, ``max_bucket``, ``stats_bucket``,
@@ -193,11 +194,7 @@ class _Translated:
 
 
 def _attr_exists(s, name: str) -> bool:
-    try:
-        s._attr(name)
-        return True
-    except Exception:
-        return False
+    return name in s.doc_attrs
 
 
 def _clause_filter(s, kind: str, arg) -> dict:
@@ -990,6 +987,10 @@ def _histogram(s, arg: dict, subs: dict, scope,
     # parent interval) — evaluated here, not in _run_aggs
     rate_subs = {n: sp["rate"] for n, sp in subs.items()
                  if isinstance(sp, dict) and set(sp) == {"rate"}}
+    for rarg in rate_subs.values():
+        if rarg.get("mode", "sum") != "sum":
+            raise NotImplementedError(
+                f"rate mode {rarg['mode']!r} is not supported (sum only)")
     # ES `cumulative_cardinality`: running distinct count across buckets
     # in key order — needs the raw per-bucket value sets, so it is also
     # a histogram-walk computation; buckets_path must name a sibling
@@ -1040,18 +1041,9 @@ def _histogram(s, arg: dict, subs: dict, scope,
     for mname, marg in mp_subs.items():
         col_v = np.asarray(s._attr(marg["field"]), dtype=np.float64)
         mp_vals[mname] = [col_v[grp] for grp, _ in groups]
-    # hoisted column conversion (once, not per bucket); NaN is a MISSING
-    # numeric value and never counts as distinct, matching the sibling
-    # cardinality metric (each boxed NaN is a fresh object, so letting
-    # them into the set would inflate the running count per occurrence)
-    cc_cols = {}
-    for cname, cfield in cc_subs.items():
-        arr = np.asarray(s._attr(cfield))
-        if arr.dtype.kind == "f":
-            cc_cols[cname] = np.where(np.isnan(arr), None,
-                                      arr.astype(object))
-        else:
-            cc_cols[cname] = np.asarray(arr, dtype=object)
+    # distinct values as codes; a missing value (NaN / None, code -1)
+    # never counts, matching the sibling cardinality metric
+    cc_cols = {n: s._attr_codes(f)[0] for n, f in cc_subs.items()}
     for i, (grp, key) in enumerate(groups):
         b = {"key": float(key), "doc_count": int(len(grp))}
         for mname, marg in mp_subs.items():
@@ -1065,18 +1057,19 @@ def _histogram(s, arg: dict, subs: dict, scope,
                          else None)
                 for p in marg["percents"]}}
         for cname in cc_subs:
-            vals = cc_cols[cname][grp]
-            cc_seen[cname].update(v for v in vals if v is not None)
+            c = cc_cols[cname][grp]
+            cc_seen[cname].update(c[c >= 0].tolist())
             b[cname] = {"value": len(cc_seen[cname])}
         for rname, rarg in rate_subs.items():
-            unit = _RATE_UNITS[rarg.get("unit", "day")]
             if rarg.get("field"):
                 v = np.asarray(s._attr(rarg["field"]),
                                dtype=np.float64)[grp]
                 total = float(np.nansum(v))
             else:
                 total = float(len(grp))
-            b[rname] = {"value": total * unit / width}
+            # no unit: the rate per parent interval (ES), i.e. unscaled
+            b[rname] = {"value": total * _RATE_UNITS[rarg["unit"]] / width
+                        if "unit" in rarg else total}
         if other_subs:
             # recurse with the bucket's half-open range as the scope, so
             # sub-aggs may be metric OR bucket aggs (full ES nesting)
@@ -1168,14 +1161,9 @@ def _metric_result(s, fn: str, arg: dict, keep: np.ndarray) -> dict:
              "metrics": {f: float(cols[f][i]) for f in fields}}
             for i in srt]}
     if fn == "cardinality":
-        col = np.asarray(s._attr(arg["field"]))
-        vals = col[keep]
-        if vals.dtype.kind == "f":
-            vals = vals[~np.isnan(vals)]
-        elif vals.dtype.kind == "O":
-            vals = vals[np.array([x is not None for x in vals],
-                                 dtype=bool)]
-        return {"value": int(len(np.unique(vals)))}
+        # distinct valued codes (None / NaN are code -1, never counted)
+        counts, _ = s._code_counts(arg["field"], keep)
+        return {"value": int(np.count_nonzero(counts))}
     col = np.asarray(s._attr(arg["field"]), dtype=np.float64)
     v = col[keep]
     v = v[~np.isnan(v)]
@@ -1545,6 +1533,10 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             raise NotImplementedError(
                 f"sub-aggregations under {kind!r} are not supported")
         if kind == "terms":
+            if "missing" in arg:
+                raise NotImplementedError(
+                    "terms 'missing' is not supported: docs without a "
+                    "value are left out; the missing agg counts them")
             normal, pipes = _split_parent_pipelines(subs)
             tsize = int(arg.get("size", 10))
             order = arg.get("order")
@@ -1597,7 +1589,7 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             rows = s.agg_multi_terms(fields, k=int(arg.get("size", 10)),
                                      filter=scope)
             out[name] = {"buckets": [
-                {"key": list(k), "doc_count": int(c)} for *k, c in rows]}
+                {"key": list(k), "doc_count": int(c)} for k, c in rows]}
         elif kind == "significant_terms":
             rows = s.agg_significant_terms(
                 arg["field"], k=int(arg.get("size", 10)), filter=scope)
@@ -1666,15 +1658,10 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             out[name] = {"doc_count": int(_scope_keep(s, None).sum()),
                          **sub}
         elif kind == "missing":
-            # docs in scope WITHOUT a value for the field (NaN / None)
-            col = np.asarray(s._attr(arg["field"]))
+            # docs in scope WITHOUT a value for the field (NaN / None:
+            # code -1)
             keep = _scope_keep(s, scope)
-            if col.dtype.kind == "f":
-                absent = np.isnan(col)
-            elif col.dtype.kind == "O":
-                absent = np.array([x is None for x in col], dtype=bool)
-            else:
-                absent = np.zeros(len(col), dtype=bool)
+            absent = s._attr_codes(arg["field"])[0] < 0
             out[name] = {"doc_count": int((keep & absent).sum())}
             if subs:  # ES: sub-aggs run over exactly the counted docs
                 mids = (np.flatnonzero(keep & absent) + s.doc_lo).tolist()
@@ -1704,7 +1691,9 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             # the sample, until shard_size docs are collected
             n_top = int(arg.get("shard_size", 100))
             mpv = int(arg.get("max_docs_per_value", 1))
-            col = s._attr(arg["field"])
+            # per-value counts keyed by code; docs without a value (-1)
+            # share one group
+            codes = s._attr_codes(arg["field"])[0]
             if qterms:
                 cand = [h["doc_id"]
                         for h in s.search(list(qterms), k=s.n_local,
@@ -1714,9 +1703,7 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
                         + s.doc_lo).tolist()
             ids, seen = [], {}
             for d in cand:
-                v = col[d - s.doc_lo]
-                if isinstance(v, float) and np.isnan(v):
-                    v = None
+                v = int(codes[d - s.doc_lo])
                 c = seen.get(v, 0)
                 if c >= mpv:
                     continue
@@ -1874,11 +1861,8 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             for h in hits:  # _source: requested doc attrs, ES-style
                 if arg.get("_source"):
                     li = h["_id"] - s.doc_lo
-                    h["_source"] = {
-                        a: (s._attr(a)[li].item()
-                            if hasattr(s._attr(a)[li], "item")
-                            else s._attr(a)[li])
-                        for a in arg["_source"]}
+                    h["_source"] = {a: s._attr_value(a, li)
+                                    for a in arg["_source"]}
             out[name] = {"hits": {"hits": hits}}
         else:
             raise NotImplementedError(f"unsupported agg {kind!r}")
@@ -2036,8 +2020,7 @@ def execute_get(s, doc_id: int, source: list[str] | None = None) -> dict:
     cols = source if source is not None else list(s.doc_attrs)
     src = {}
     for c in cols:
-        v = s.doc_attrs[c][i]
-        src[c] = v.item() if hasattr(v, "item") else v
+        src[c] = s.doc_attrs.value(c, i)
     return {"_id": did, "found": True, "_source": src}
 
 
@@ -2145,8 +2128,8 @@ def execute_termvectors(s, body: dict, doc_id: int | None = None,
                 (np.asarray(s.deleted) == did).any()):
             return {"_id": did, "found": False}
         i = did - s.doc_lo
-        repo, path = str(s.doc_repo[i]), str(s.doc_path[i])
-        key = str(s.doc_key[i])
+        repo, path, key = (str(s.doc_attrs.value(c, i))
+                           for c in ("repo", "path", "doc_key"))
         import pyarrow.compute as pc
         import pyarrow.dataset as pds
 
@@ -2515,11 +2498,7 @@ def execute_dsl(s, body: dict) -> dict:
         if isinstance(src, list) and src:
             for h in resp["hits"]["hits"]:
                 li = h["_id"] - s.doc_lo
-                h["_source"] = {
-                    a: (s._attr(a)[li].item()
-                        if hasattr(s._attr(a)[li], "item")
-                        else s._attr(a)[li])
-                    for a in src}
+                h["_source"] = {a: s._attr_value(a, li) for a in src}
         return resp
     finally:
         for name in added:

@@ -20,12 +20,18 @@ essential postings cover a large share of the doc space fall back to
 dense term-at-a-time scatter (``_search_taat``). Both paths add
 contributions in sorted-term order, so scores are bit-identical to the
 oracle.
+
+Doc attributes (``DocAttrs``) keep string columns as dictionary codes:
+string filters, ``lang=``, terms-style aggregations and collapse compare
+and count int32 codes.
 """
 
 from __future__ import annotations
 
+import bisect
 import glob
 import os
+from collections.abc import MutableMapping
 
 import numpy as np
 import pyarrow as pa
@@ -134,6 +140,126 @@ class _ChunkStore:
         return rows
 
 
+def _dict_encode(col) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(codes int32, categories)`` of a string column (Arrow, or a numpy
+    object / unicode array): categories are the distinct values sorted
+    ascending, a null gets code -1. ``None`` when the column holds
+    anything but strings and nulls."""
+    if not isinstance(col, (pa.Array, pa.ChunkedArray)):
+        try:
+            col = pa.array(col)
+        except (pa.ArrowInvalid, pa.ArrowTypeError):
+            return None
+    if not (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)):
+        return None
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    enc = col.dictionary_encode()
+    order = pc.array_sort_indices(enc.dictionary).to_numpy()
+    rank = np.empty(len(order) + 1, dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    rank[-1] = -1  # the null index -1 stays -1
+    codes = rank[pc.fill_null(enc.indices, -1).to_numpy()]
+    return codes, np.asarray(enc.dictionary, dtype=object)[order]
+
+
+def _value_codes(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes int32, categories)`` of a column that is not
+    dictionary-coded: the categories are ``str`` keys (numeric terms
+    buckets are keyed ``"2.0"``) sorted as strings; NaN / None get -1."""
+    if col.dtype.kind == "f":
+        valid = ~np.isnan(col)
+    elif col.dtype == object:
+        valid = np.not_equal(col, None)
+    else:
+        valid = np.ones(len(col), dtype=bool)
+    vals = col[valid]
+    if col.dtype == object:
+        vals = vals.astype(str)
+    uniq, inv = np.unique(vals, return_inverse=True)
+    keys = uniq.astype(str)
+    order = np.argsort(keys, kind="stable")
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    codes = np.full(len(col), -1, dtype=np.int32)
+    codes[valid] = rank[inv]
+    return codes, keys[order]
+
+
+class DocAttrs(MutableMapping):
+    """Per-doc attribute columns by name, in local doc order.
+
+    A string column (every docs-sidecar column but ``dl``, and any later
+    column holding only strings and nulls) is stored dictionary-coded:
+    ``codes`` int32 into the column's sorted distinct values, -1 for null —
+    the ES keyword-field ordinals. Filters and terms-style aggregations
+    read the codes (:meth:`coded`, :meth:`codes`). Reading such a column
+    by name builds a value view ``np.append(cats, None)[codes]``: object
+    pointers to the shared category strings, ``None`` where null, made on
+    each read — so no per-doc string objects are kept. Any other column is
+    stored as given; its terms codes are computed on first use and kept
+    with the column, so replacing or deleting the column drops them.
+    """
+
+    def __init__(self):
+        self._cols: dict[str, np.ndarray | None] = {}  # None: coded column
+        self._codes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __setitem__(self, name: str, col) -> None:
+        self._codes.pop(name, None)
+        arrow = isinstance(col, (pa.Array, pa.ChunkedArray))
+        if not arrow:
+            col = np.asarray(col)
+        enc = _dict_encode(col) if arrow or col.dtype.kind in "OU" else None
+        if enc is None:
+            self._cols[name] = col.to_numpy() if arrow else col
+        else:
+            self._cols[name] = None
+            self._codes[name] = enc
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        col = self._cols[name]
+        if col is not None:
+            return col
+        codes, cats = self._codes[name]
+        return np.append(cats, None)[codes]
+
+    def __delitem__(self, name: str) -> None:
+        del self._cols[name]
+        self._codes.pop(name, None)
+
+    def __iter__(self):
+        return iter(self._cols)
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def __contains__(self, name) -> bool:
+        return name in self._cols
+
+    def coded(self, name: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(codes, cats)`` of a dictionary-coded string column, else
+        ``None``."""
+        return self._codes[name] if self._cols[name] is None else None
+
+    def codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, cats)`` of any column (see :func:`_value_codes`)."""
+        c = self._codes.get(name)
+        if c is None:
+            c = self._codes[name] = _value_codes(self._cols[name])
+        return c
+
+    def value(self, name: str, i: int):
+        """One doc's value as a Python object (``None`` where null)."""
+        col = self._cols[name]
+        if col is None:
+            codes, cats = self._codes[name]
+            c = codes[i]
+            return cats[c] if c >= 0 else None
+        v = col[i]
+        return v.item() if hasattr(v, "item") else v
+
+
 class Searcher:
     """Holds dictionary + posting chunks (+ doc attributes) for serving.
 
@@ -152,7 +278,14 @@ class Searcher:
         must merge by per-doc sum). ``chunk_range=(lo, hi)`` restricts to
         doc-id chunk ranges instead (document-partitioned serving, the ES
         topology): every loaded doc's score is COMPLETE, so per-actor
-        top-k lists merge exactly — see state/pool.ShardedSearchPool."""
+        top-k lists merge exactly — see state/pool.ShardedSearchPool.
+
+        ``load_docs`` loads the docs sidecar into ``doc_attrs``
+        (:class:`DocAttrs`): ``dl`` as a numpy array, the string columns
+        (``doc_key``, ``repo``, ``path``, ``commit``, ``lang``)
+        dictionary-coded once here with ``pyarrow.compute.
+        dictionary_encode`` — int32 codes into sorted categories, the ES
+        keyword ordinals — so no per-doc string objects are held."""
         from astrologer_ray.pipelines.segments import index_generations
 
         # generations = base index + any delta segments (pipelines/
@@ -198,6 +331,69 @@ class Searcher:
                 return [pq.read_table(p, **kw) for p in paths]
             with ThreadPoolExecutor(min(8, len(paths))) as ex:
                 return list(ex.map(lambda p: pq.read_table(p, **kw), paths))
+
+        # docs sidecar first: the allocator keeps the string columns'
+        # transient encode memory, and the postings load below reuses it
+        # instead of raising the process's peak RSS
+        self.doc_attrs = DocAttrs()
+        if load_docs:
+            cols = ["doc_id", "doc_key", "repo", "path", "commit", "lang", "dl"]
+            dfiles = [
+                p for gdir, _ in gens
+                for p in sorted(glob.glob(os.path.join(gdir, "docs", "*.parquet")))
+            ]
+            dfilt = None
+            if chunk_range is not None:
+                # prune the sidecar read to this shard's doc range — a
+                # doc-range actor must not hold N rows of attributes
+                dfilt = (pc.field("doc_id") >= self.doc_lo) & (
+                    pc.field("doc_id") < self.doc_hi
+                )
+            docs = pa.concat_tables(
+                _read_many(dfiles, columns=cols, filters=dfilt)
+            ).sort_by("doc_id")
+            if docs.num_rows:
+                did = docs.column("doc_id").to_numpy()
+                assert did[0] == self.doc_lo and did[-1] == self.doc_hi - 1
+                assert docs.num_rows == self.n_local
+            for c in cols[1:]:
+                self.doc_attrs[c] = docs.column(c)  # strings dictionary-coded
+            # ES _update_by_query overlay (pipelines/segments.
+            # update_by_query): generation files fold in filename order
+            # (later wins), rows pruned to this shard's doc range. A new
+            # column becomes a full attr (NaN / None where never set), so
+            # updated fields compose with filters/aggs/sort/rank_feature
+            # exactly like stored sidecar columns. Overlaid columns are
+            # folded as values, then stored (and re-encoded) once.
+            work: dict[str, np.ndarray] = {}
+            for uf in sorted(
+                glob.glob(os.path.join(index_dir, "updates", "*.parquet"))
+            ):
+                ut = pq.read_table(uf, filters=dfilt)
+                if not ut.num_rows:
+                    continue
+                pos = ut.column("doc_id").to_numpy() - self.doc_lo
+                for c in ut.column_names:
+                    if c == "doc_id":
+                        continue
+                    f = ut.schema.field(c)
+                    numeric = pa.types.is_floating(f.type) or pa.types.is_integer(f.type)
+                    if c not in work:
+                        work[c] = (
+                            self.doc_attrs[c] if c in self.doc_attrs
+                            else np.full(self.n_local, np.nan, np.float64)
+                            if numeric
+                            else np.full(self.n_local, None, object)
+                        )
+                    tgt = work[c]
+                    vals = ut.column(c)
+                    if tgt.dtype == object:
+                        tgt[pos] = np.asarray(vals, dtype=object)
+                    else:
+                        tgt[pos] = vals.to_numpy(
+                            zero_copy_only=False).astype(tgt.dtype, copy=False)
+            for c, arr in work.items():
+                self.doc_attrs[c] = arr
 
         tables = []
         for gdir, _ in gens:
@@ -261,69 +457,12 @@ class Searcher:
         self._taat_cache: OrderedDict[str, tuple] = OrderedDict()
         self._taat_cache_vals = 0
 
-        self.doc_lang = self.doc_key = self.doc_repo = self.doc_path = None
-        self.doc_attrs: dict[str, np.ndarray] = {}
-        self._codes_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if load_docs:
-            cols = ["doc_id", "doc_key", "repo", "path", "commit", "lang", "dl"]
-            dfiles = [
-                p for gdir, _ in gens
-                for p in sorted(glob.glob(os.path.join(gdir, "docs", "*.parquet")))
-            ]
-            dfilt = None
-            if chunk_range is not None:
-                # prune the sidecar read to this shard's doc range — a
-                # doc-range actor must not hold N rows of attributes
-                dfilt = (pc.field("doc_id") >= self.doc_lo) & (
-                    pc.field("doc_id") < self.doc_hi
-                )
-            docs = pa.concat_tables(
-                _read_many(dfiles, columns=cols, filters=dfilt)
-            ).sort_by("doc_id")
-            if docs.num_rows:
-                did = docs.column("doc_id").to_numpy()
-                assert did[0] == self.doc_lo and did[-1] == self.doc_hi - 1
-                assert docs.num_rows == self.n_local
-            for c in cols[1:]:
-                arr = docs.column(c)
-                self.doc_attrs[c] = (
-                    arr.to_numpy() if c == "dl" else np.asarray(arr, dtype=object)
-                )
-            # ES _update_by_query overlay (pipelines/segments.
-            # update_by_query): generation files fold in filename order
-            # (later wins), rows pruned to this shard's doc range. A new
-            # column becomes a full attr (NaN / None where never set), so
-            # updated fields compose with filters/aggs/sort/rank_feature
-            # exactly like stored sidecar columns.
-            for uf in sorted(
-                glob.glob(os.path.join(index_dir, "updates", "*.parquet"))
-            ):
-                ut = pq.read_table(uf, filters=dfilt)
-                if not ut.num_rows:
-                    continue
-                pos = ut.column("doc_id").to_numpy() - self.doc_lo
-                for c in ut.column_names:
-                    if c == "doc_id":
-                        continue
-                    f = ut.schema.field(c)
-                    numeric = pa.types.is_floating(f.type) or pa.types.is_integer(f.type)
-                    if c not in self.doc_attrs:
-                        self.doc_attrs[c] = (
-                            np.full(self.n_local, np.nan, np.float64)
-                            if numeric
-                            else np.full(self.n_local, None, object)
-                        )
-                    tgt = self.doc_attrs[c]
-                    vals = ut.column(c)
-                    if tgt.dtype == object:
-                        tgt[pos] = np.asarray(vals, dtype=object)
-                    else:
-                        tgt[pos] = vals.to_numpy(
-                            zero_copy_only=False).astype(tgt.dtype, copy=False)
-            self.doc_key = self.doc_attrs["doc_key"]
-            self.doc_repo = self.doc_attrs["repo"]
-            self.doc_path = self.doc_attrs["path"]
-            self.doc_lang = self.doc_attrs["lang"]
+
+    # value views of the sidecar string columns (None without load_docs)
+    doc_key = property(lambda self: self.doc_attrs.get("doc_key"))
+    doc_repo = property(lambda self: self.doc_attrs.get("repo"))
+    doc_path = property(lambda self: self.doc_attrs.get("path"))
+    doc_lang = property(lambda self: self.doc_attrs.get("lang"))
 
     def _apply_deletes(self, allowed: np.ndarray | None) -> np.ndarray | None:
         """Fold the tombstone mask into a candidate mask (local id space).
@@ -581,10 +720,11 @@ class Searcher:
     def add_runtime_field(self, name: str, fn) -> None:
         """ES *runtime field*: a doc attribute computed at query time from
         the loaded sidecar columns — ``fn`` receives the ``doc_attrs``
-        dict (numpy arrays, local doc order) and returns the new array.
-        Computed ONCE per searcher/actor and cached; afterwards it
-        composes with every filter/agg/sort exactly like a stored
-        attribute. Requires ``load_docs=True``."""
+        mapping (numpy arrays, local doc order) and returns the new array.
+        Computed ONCE per searcher/actor and stored like a sidecar column
+        (dictionary-coded when it holds strings); afterwards it composes
+        with every filter/agg/sort exactly like a stored attribute.
+        Requires ``load_docs=True``."""
         if not self.doc_attrs:
             raise ValueError("runtime fields require load_docs=True")
         arr = np.asarray(fn(self.doc_attrs))
@@ -594,29 +734,35 @@ class Searcher:
                 f"for {self.n_local} docs"
             )
         self.doc_attrs[name] = arr
-        self._codes_cache.pop(name, None)
 
-    def _attr_codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Lazily cached dictionary encoding of a doc attribute:
-        ``(codes int32, categories str)``. Terms-style aggregations over
-        1M+ docs become one ``bincount`` over int codes instead of a
-        full string sort PER REQUEST — the encode cost is paid once per
-        actor per attribute (the serving pools hold searchers warm)."""
-        c = self._codes_cache.get(name)
-        if c is None:
-            cats, codes = np.unique(self._attr(name).astype(str),
-                                    return_inverse=True)
-            c = (codes.astype(np.int32), cats)
-            self._codes_cache[name] = c
-        return c
-
-    def _attr(self, name: str) -> np.ndarray:
+    def _require(self, name: str) -> None:
         if name not in self.doc_attrs:
             raise ValueError(
                 f"doc attribute {name!r} requires load_docs=True "
                 f"(have: {sorted(self.doc_attrs)})"
             )
+
+    def _attr_codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes int32, categories)`` of a doc attribute, the input of
+        every terms-style aggregation and of collapse: categories are
+        sorted ascending (numeric attributes: their ``str`` keys, sorted
+        as strings), so code order is bucket-key order; a doc without a
+        value (None / NaN) has code -1 and is never counted. String
+        attributes are stored this way; others are encoded on first use
+        and kept with the column (``DocAttrs.codes``)."""
+        self._require(name)
+        return self.doc_attrs.codes(name)
+
+    def _attr(self, name: str) -> np.ndarray:
+        """A doc attribute's values (string attributes: a value view over
+        their codes, built per call — hot paths read ``_attr_codes``)."""
+        self._require(name)
         return self.doc_attrs[name]
+
+    def _attr_value(self, name: str, i: int):
+        """One doc's attribute value (local id ``i``) as a Python object."""
+        self._require(name)
+        return self.doc_attrs.value(name, i)
 
     def _postings_ids_mask(self, term: str) -> np.ndarray:
         """Doc mask for one exact index term (posting-list membership).
@@ -909,12 +1055,17 @@ class Searcher:
         if not (isinstance(f, dict) and len(f) == 1):
             raise ValueError(f"filter must be a single-key dict, got {f!r}")
         kind, arg = next(iter(f.items()))
+        if kind in ("term", "exists", "attr_prefix"):
+            ((attr, val),) = ((arg, None),) if kind == "exists" \
+                else arg.items()
+            self._require(attr)
+            coded = self.doc_attrs.coded(attr)
+            if coded is not None:
+                return self._coded_mask(kind, val, *coded)
+            col = self.doc_attrs[attr]
         if kind == "term":
-            ((attr, val),) = arg.items()
-            col = self._attr(attr)
-            dt = getattr(col, "dtype", None)
-            if (isinstance(val, str) and dt is not None
-                    and np.issubdtype(dt, np.number)):
+            dt = col.dtype
+            if isinstance(val, str) and np.issubdtype(dt, np.number):
                 # terms-agg recursion scopes sub-aggs with the bucket's
                 # stringified key; numpy `int_col == "42"` is all-False,
                 # so compare in the column's own dtype
@@ -924,7 +1075,6 @@ class Searcher:
                     val = float(val)
             return col == val
         if kind == "exists":
-            col = self._attr(arg)
             return (col != None) & (col != "")  # noqa: E711 — elementwise
         if kind == "script":
             # ES script query (filter context): a painless predicate over
@@ -995,8 +1145,7 @@ class Searcher:
                 m |= self._postings_ids_mask(t)
             return m
         if kind == "attr_prefix":
-            ((attr, val),) = arg.items()
-            col = pa.array(self._attr(attr), type=pa.string())
+            col = pa.array(col, type=pa.string())
             return np.asarray(
                 pc.fill_null(pc.starts_with(col, str(val)), False)
             )
@@ -1021,6 +1170,39 @@ class Searcher:
             return m
         raise ValueError(f"unknown filter kind {kind!r}")
 
+    @staticmethod
+    def _coded_mask(kind: str, val, codes: np.ndarray,
+                    cats: np.ndarray) -> np.ndarray:
+        """``term`` / ``exists`` / ``attr_prefix`` over a dictionary-coded
+        column: the matching categories are one run of the sorted
+        categories, found by bisection, so the per-doc work is one or two
+        int32 compares."""
+        if kind == "exists":  # non-null and non-empty; "" sorts first
+            return codes >= (1 if len(cats) and cats[0] == "" else 0)
+        if kind == "term":
+            if val is None:
+                return codes == -1
+            i = bisect.bisect_left(cats, val) if isinstance(val, str) else 0
+            if not (i < len(cats) and cats[i] == val):
+                return np.zeros(len(codes), dtype=bool)
+            return codes == i
+        # attr_prefix: truncating to len(val) keeps the sort order, so the
+        # values starting with val are the run [lo, hi)
+        val = str(val)
+        lo = bisect.bisect_left(cats, val)
+        hi = bisect.bisect_right(cats, val, lo, key=lambda c: c[:len(val)])
+        return (codes >= lo) & (codes < hi)
+
+    def _lang_filter_mask(self, lang: str | None, filter) -> np.ndarray | None:
+        """``_live_mask`` of ``filter`` and, when given, the ``lang=``
+        term filter of ``search`` / ``search_synonyms``."""
+        if lang is not None:
+            if "lang" not in self.doc_attrs:
+                raise ValueError("lang filter requires load_docs=True")
+            lf = {"term": {"lang": lang}}
+            filter = lf if filter is None else {"bool": {"must": [lf, filter]}}
+        return self._live_mask(filter)
+
     def count(self, filter=None) -> int:
         """Number of docs in this searcher's range matching ``filter``
         (all of them when None); doc-range shard counts sum exactly."""
@@ -1039,18 +1221,30 @@ class Searcher:
 
     def agg_terms(self, attr: str, k: int = 10, filter=None) -> list[tuple]:
         """Terms aggregation over a doc attribute, optionally filtered —
-        the ES filtered-aggregation twin. Top-k by (count desc, value asc)."""
-        codes, cats = self._attr_codes(attr)
-        m = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
-        if m is not None:
-            codes = codes[m]
-        counts = np.bincount(codes, minlength=len(cats))
+        the ES filtered-aggregation twin. Top-k by (count desc, value asc);
+        docs without a value are not counted."""
+        counts, cats = self._code_counts(attr, self._live_mask(filter))
         nz = np.flatnonzero(counts)  # only values present under the filter
-        vals, cts = cats[nz], counts[nz]
-        order = np.lexsort((vals, -cts))[:k]
-        return [(str(vals[i]), int(cts[i])) for i in order]
+        # nz ascends, and so do the categories: a stable sort by count
+        # desc leaves ties in value order
+        order = nz[np.argsort(-counts[nz], kind="stable")[:k]]
+        return [(str(cats[i]), int(counts[i])) for i in order]
+
+    def _live_mask(self, filter) -> np.ndarray | None:
+        """Mask of the live docs matching ``filter``; None when there is
+        neither a filter nor a tombstone (every doc)."""
+        return self._apply_deletes(
+            self.filter_mask(filter) if filter is not None else None)
+
+    def _code_counts(self, attr: str, mask: np.ndarray | None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-category doc counts of ``attr`` over the docs in ``mask``
+        (None: all docs), and the categories. Code -1 (no value) is
+        never counted."""
+        codes, cats = self._attr_codes(attr)
+        if mask is not None:
+            codes = codes[mask]
+        return np.bincount(codes + 1, minlength=len(cats) + 1)[1:], cats
 
     def search(
         self,
@@ -1098,15 +1292,7 @@ class Searcher:
             return []
         self._check_boosts(boosts)
         qterms = sorted({t for t in terms if self.owns_term(t)})
-        allowed = None
-        if lang is not None:
-            if self.doc_lang is None:
-                raise ValueError("lang filter requires load_docs=True")
-            allowed = self.doc_lang == lang
-        if filter is not None:
-            fm = self.filter_mask(filter)
-            allowed = fm if allowed is None else (allowed & fm)
-        allowed = self._apply_deletes(allowed)
+        allowed = self._lang_filter_mask(lang, filter)
 
         if strategy not in ("auto", "taat", "wand"):
             raise ValueError(f"unknown strategy {strategy!r}: auto|taat|wand")
@@ -1183,9 +1369,7 @@ class Searcher:
             loc = np.searchsorted(ids, match)
             ok = (loc < len(ids)) & (ids[np.minimum(loc, len(ids) - 1)] == match)
             scores[ok] += w[loc[ok]]
-        fm = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
+        fm = self._live_mask(filter)
         if fm is not None:
             keep = fm[match]
             match, scores = match[keep], scores[keep]
@@ -1243,9 +1427,7 @@ class Searcher:
             loc = np.searchsorted(ids, match)
             ok = (loc < len(ids)) & (ids[np.minimum(loc, len(ids) - 1)] == match)
             scores[ok] += w[loc[ok]]
-        fm = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
+        fm = self._live_mask(filter)
         if fm is not None:
             keep = fm[match]
             match, scores = match[keep], scores[keep]
@@ -1292,9 +1474,7 @@ class Searcher:
             pmask[ids] = True
         scores[pmask] += 1.0
         cand |= pmask
-        fm = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
+        fm = self._live_mask(filter)
         if fm is not None:
             cand &= fm
         match = np.flatnonzero(cand)
@@ -1387,33 +1567,29 @@ class Searcher:
                         filter=None) -> list[tuple]:
         """ES ``multi_terms`` aggregation: buckets keyed by a TUPLE of doc
         attributes, top-k by (count desc, key asc). Same candidate rules
-        as every agg (filter DSL + tombstones)."""
-        m = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
-        ids = np.flatnonzero(m) if m is not None else np.arange(self.n_local)
-        cols = [self._attr(a)[ids].astype(str) for a in attrs]
-        key_cols, counts = self._group_counts(cols)
-        keys = list(zip(*key_cols)) if len(counts) else []
-        ranked = sorted(zip(keys, counts), key=lambda t: (-t[1], t[0]))[:k]
-        return [(tuple(str(x) for x in key), int(c)) for key, c in ranked]
+        as every agg (filter DSL + tombstones); a doc without a value for
+        any of the attributes is not counted."""
+        m = self._live_mask(filter)
+        enc = [self._attr_codes(a) for a in attrs]
+        codes = [c if m is None else c[m] for c, _ in enc]
+        has = np.logical_and.reduce([c >= 0 for c in codes])
+        # codes ascend with their values, so ascending code tuples are
+        # ascending key tuples
+        key_cols, counts = self._group_counts([c[has] for c in codes])
+        order = np.argsort(-counts, kind="stable")[:k]
+        return [(tuple(str(cats[kc[i]]) for kc, (_, cats)
+                       in zip(key_cols, enc)), int(counts[i]))
+                for i in order]
 
     def agg_rare_terms(self, attr: str, max_doc_count: int = 1,
                        filter=None) -> list[tuple]:
         """ES ``rare_terms``: attribute values appearing in at most
         ``max_doc_count`` (candidate) docs, ordered (count asc, value
         asc) — the long-tail complement of the terms aggregation."""
-        m = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
-        codes, cats = self._attr_codes(attr)
-        if m is not None:
-            codes = codes[m]
-        counts = np.bincount(codes, minlength=len(cats))
-        keep = (counts > 0) & (counts <= max_doc_count)
-        vals, cts = cats[keep], counts[keep]
-        order = np.lexsort((vals, cts))
-        return [(str(vals[i]), int(cts[i])) for i in order]
+        counts, cats = self._code_counts(attr, self._live_mask(filter))
+        keep = np.flatnonzero((counts > 0) & (counts <= max_doc_count))
+        order = keep[np.argsort(counts[keep], kind="stable")]
+        return [(str(cats[i]), int(counts[i])) for i in order]
 
     def agg_significant_terms(self, attr: str, k: int = 10,
                               filter=None) -> list[tuple]:
@@ -1426,26 +1602,26 @@ class Searcher:
         :func:`astrologer_ray.pipelines.aggs.significant_terms`; only
         values with fg_n > 0, top-k by (score desc, value asc).
         Returns ``(value, fg_n, bg_n, score)`` tuples."""
-        live = self._apply_deletes(None)
-        fg_m = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None)
-        codes, cats = self._attr_codes(attr)
-        bg_codes = codes if live is None else codes[live]
-        fg_codes = codes if fg_m is None else codes[fg_m]
-        bg_total, fg_total = len(bg_codes), len(fg_codes)
+        live = self._live_mask(None)
+        fg_m = self._live_mask(filter)
+        bg_full, cats = self._code_counts(attr, live)
+        fg_full, _ = self._code_counts(attr, fg_m)
+        # set sizes count every doc of the set, valued or not (ES
+        # subset/superset sizes); buckets count only docs with a value
+        bg_total = self.n_local if live is None else int(live.sum())
+        fg_total = self.n_local if fg_m is None else int(fg_m.sum())
         if fg_total == 0 or bg_total == 0:
             return []
-        bg_full = np.bincount(bg_codes, minlength=len(cats))
-        fg_full = np.bincount(fg_codes, minlength=len(cats))
         nz = np.flatnonzero(fg_full)  # only values with fg_n > 0
-        fg_vals, fg_counts = cats[nz], fg_full[nz]
+        fg_counts = fg_full[nz]
         # every fg value exists in bg (fg is a subset of bg rows)
         bg_of_fg = bg_full[nz]
         fg_pct = fg_counts / fg_total
         bg_pct = bg_of_fg / bg_total
         score = (fg_pct - bg_pct) * (fg_pct / bg_pct)
-        order = np.lexsort((fg_vals, -score))[:k]
-        return [(str(fg_vals[i]), int(fg_counts[i]), int(bg_of_fg[i]),
+        # nz ascends with the values: a stable sort keeps value-asc ties
+        order = np.argsort(-score, kind="stable")[:k]
+        return [(str(cats[nz[i]]), int(fg_counts[i]), int(bg_of_fg[i]),
                  float(score[i])) for i in order]
 
     def knn(self, field: str, query_vector, k: int = 10,
@@ -1461,8 +1637,7 @@ class Searcher:
         if v.ndim != 2:
             v = np.stack(v)
         q = np.asarray(query_vector, dtype=np.float64)
-        m = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None)
+        m = self._live_mask(filter)
         sims = v @ q
         norms = np.linalg.norm(v, axis=1) * np.linalg.norm(q)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -1639,15 +1814,7 @@ class Searcher:
             raise ValueError("min_group_match must be >= 1")
         from astrologer_ray.functions.codec import decode_chunk
 
-        allowed = None
-        if lang is not None:
-            if self.doc_lang is None:
-                raise ValueError("lang filter requires load_docs=True")
-            allowed = self.doc_lang == lang
-        if filter is not None:
-            fm = self.filter_mask(filter)
-            allowed = fm if allowed is None else (allowed & fm)
-        allowed = self._apply_deletes(allowed)
+        allowed = self._lang_filter_mask(lang, filter)
 
         tf_buf = np.zeros(self.n_local, dtype=np.float64)
         dl_buf = np.zeros(self.n_local, dtype=np.float64)
@@ -2108,9 +2275,7 @@ class Searcher:
             loc = np.searchsorted(ids, match)
             okm = (loc < len(ids)) & (ids[np.minimum(loc, len(ids) - 1)] == match)
             scores[okm] += w[loc[okm]]
-        fm = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
+        fm = self._live_mask(filter)
         if fm is not None:
             keep = fm[match]
             match, scores = match[keep], scores[keep]
@@ -2145,9 +2310,7 @@ class Searcher:
         ids, w = self._term_contribution(term)
         loc = np.searchsorted(ids, match)
         scores = w[loc]  # match ⊆ ids: every match doc holds the term
-        fm = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
+        fm = self._live_mask(filter)
         if fm is not None:
             keep = fm[match]
             match, scores = match[keep], scores[keep]
@@ -2246,8 +2409,7 @@ class Searcher:
             okm = (loc < len(ids)) & \
                 (ids[np.minimum(loc, len(ids) - 1)] == match)
             scores[okm] += w[loc[okm]]
-        fm = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None)
+        fm = self._live_mask(filter)
         if fm is not None:
             keep = fm[match]
             match, scores = match[keep], scores[keep]
@@ -2296,9 +2458,7 @@ class Searcher:
             return []
         ids, w = self._term_contribution(include)
         scores = w[np.searchsorted(ids, match)]  # match ⊆ ids
-        fm = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
+        fm = self._live_mask(filter)
         if fm is not None:
             ok = fm[match]
             match, scores = match[ok], scores[ok]
@@ -2328,11 +2488,9 @@ class Searcher:
         """
         if k <= 0:
             return []
-        col = self._attr(collapse)
+        codes, _ = self._attr_codes(collapse)
         qterms = sorted({t for t in terms if self.owns_term(t)})
-        allowed = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
+        allowed = self._live_mask(filter)
         self._check_boosts(boosts)
         scores, matched, touched = self._taat_accumulate(qterms, boosts)
         try:
@@ -2342,13 +2500,11 @@ class Searcher:
             if len(cand) == 0:
                 return []
             # per-group winner: sort candidates best-first, keep the first
-            # occurrence of each collapse value (np.unique keeps the
-            # first index of each value in the ORIGINAL order only via
-            # stable argsort + first-seen mask)
+            # occurrence of each collapse value's code (docs without a
+            # value, code -1, form one group)
             order = np.lexsort((cand, -scores[cand]))
             sc = cand[order]
-            vals = col[sc]
-            _, first_idx = np.unique(vals.astype(str), return_index=True)
+            _, first_idx = np.unique(codes[sc], return_index=True)
             winners = sc[np.sort(first_idx)][:k]
             lo = self.doc_lo
             return self._format(
@@ -2377,9 +2533,7 @@ class Searcher:
         if k <= 0:
             return []
         col = self._attr(attr)
-        m = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
+        m = self._live_mask(filter)
         ids = (np.flatnonzero(m) if m is not None
                else np.arange(self.n_local))
         vals = col[ids]
@@ -2420,9 +2574,7 @@ class Searcher:
         ``(v1, ..., vN, doc_id)``. Requires ``load_docs=True``."""
         if k <= 0 or not specs:
             return []
-        m = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
+        m = self._live_mask(filter)
         ids = (np.flatnonzero(m) if m is not None
                else np.arange(self.n_local))
         cols = [self._attr(a)[ids] for a, _ in specs]
@@ -2470,9 +2622,7 @@ class Searcher:
         ``{"buckets": [(key_tuple, count), ...], "after_key": tuple|None}``;
         feed ``after_key`` back as ``after`` for the next page. Requires
         ``load_docs=True``."""
-        m = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
+        m = self._live_mask(filter)
         ids = (np.flatnonzero(m) if m is not None
                else np.arange(self.n_local))
         cols = [self._attr(a)[ids] for a in sources]
@@ -2519,11 +2669,9 @@ class Searcher:
         ``load_docs=True``."""
         if k_groups <= 0 or n_hits <= 0:
             return []
-        col = self._attr(group_attr)
+        codes, cats = self._attr_codes(group_attr)
         qterms = sorted({t for t in terms if self.owns_term(t)})
-        allowed = self._apply_deletes(
-            self.filter_mask(filter) if filter is not None else None
-        )
+        allowed = self._live_mask(filter)
         self._check_boosts(boosts)
         scores, matched, touched = self._taat_accumulate(qterms, boosts)
         try:
@@ -2534,11 +2682,13 @@ class Searcher:
                 return []
             order = np.lexsort((cand, -scores[cand]))  # best-first global
             sc = cand[order]
-            vals = col[sc].astype(str)
-            uvals, inv, cnts = np.unique(
-                vals, return_inverse=True, return_counts=True
+            sc = sc[codes[sc] >= 0]  # docs without a value join no bucket
+            ucodes, inv, cnts = np.unique(
+                codes[sc], return_inverse=True, return_counts=True
             )
-            top_buckets = np.lexsort((uvals, -cnts))[:k_groups]
+            # codes ascend with their values: stable count-desc sort
+            # leaves ties in value order
+            top_buckets = np.argsort(-cnts, kind="stable")[:k_groups]
             # rank within group: stable grouping preserves best-first order
             g_order = np.argsort(inv, kind="stable")
             grp_sorted = inv[g_order]
@@ -2552,7 +2702,7 @@ class Searcher:
                 in_b = np.flatnonzero((inv == b) & (ranks < n_hits))
                 for i in in_b:  # in_b ascending == best-first within bucket
                     out.append({
-                        "group": str(uvals[b]),
+                        "group": str(cats[ucodes[b]]),
                         "doc_count": int(cnts[b]),
                         "doc_id": int(sc[i]) + lo,
                         "score": float(scores[sc[i]]),
@@ -2689,12 +2839,9 @@ class Searcher:
         results = []
         for rank, (d, s) in enumerate(hits):
             r = {"rank": rank, "doc_id": d, "score": s}
-            if decorate and self.doc_key is not None:
-                i = d - self.doc_lo
-                r["doc_key"] = str(self.doc_key[i])
-                r["repo"] = str(self.doc_repo[i])
-                r["path"] = str(self.doc_path[i])
-                r["lang"] = str(self.doc_lang[i])
+            if decorate and "doc_key" in self.doc_attrs:
+                for c in ("doc_key", "repo", "path", "lang"):
+                    r[c] = str(self.doc_attrs.value(c, d - self.doc_lo))
             results.append(r)
         return results
 

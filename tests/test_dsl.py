@@ -2831,3 +2831,79 @@ def test_cumulative_cardinality_excludes_nan(dsl_index):
     # the only real value anywhere is 1.0 — every running count is <= 1
     assert buckets[-1]["cc"]["value"] == 1
     assert all(b["cc"]["value"] <= 1 for b in buckets)
+
+
+def test_terms_aggs_skip_docs_without_a_value(dsl_index, tmp_path):
+    """A string attribute set on only some docs (update_by_query) never
+    yields a "None" bucket in terms / rare_terms / significant_terms /
+    multi_terms, cardinality counts only real values, the missing agg
+    counts the rest, and terms' unsupported ``missing`` key refuses."""
+    import shutil
+
+    from astrologer_ray.pipelines.segments import update_by_query
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(dsl_index, idx)
+    update_by_query(idx, {"term": {"lang": "go"}}, "ctx._source.tier = 'gold'")
+    s = Searcher(idx, load_docs=True)
+    n_go = int((s.doc_attrs["lang"] == "go").sum())
+    assert 0 < n_go < s.n_local
+    got = execute_dsl(s, {"size": 0, "aggs": {
+        "t": {"terms": {"field": "tier"}},
+        "r": {"rare_terms": {"field": "tier", "max_doc_count": s.n_local}},
+        "sig": {"significant_terms": {"field": "tier"}},
+        "mt": {"multi_terms": {"terms": [{"field": "lang"},
+                                         {"field": "tier"}]}},
+        "c": {"cardinality": {"field": "tier"}},
+        "m": {"missing": {"field": "tier"}}}})["aggregations"]
+    assert got["t"]["buckets"] == [{"key": "gold", "doc_count": n_go}]
+    assert got["r"]["buckets"] == [{"key": "gold", "doc_count": n_go}]
+    assert [b["key"] for b in got["sig"]["buckets"]] == ["gold"]
+    assert got["mt"]["buckets"] == [{"key": ["go", "gold"],
+                                     "doc_count": n_go}]
+    assert got["c"]["value"] == 1
+    assert got["m"]["doc_count"] == s.n_local - n_go
+    with pytest.raises(NotImplementedError, match="missing"):
+        execute_dsl(s, {"size": 0, "aggs": {"t": {"terms": {
+            "field": "tier", "missing": "none"}}}})
+
+
+def test_request_runtime_field_does_not_outlive_its_request(dsl_index):
+    """A runtime_mappings field is gone after its request: a later body
+    aggregating on it fails like any unknown attribute instead of reading
+    codes left over from the earlier request."""
+    s = Searcher(dsl_index, load_docs=True)
+    agg = {"b": {"terms": {"field": "bucket"}}}
+    got = execute_dsl(s, {"size": 0, "aggs": agg, "runtime_mappings": {
+        "bucket": {"type": "long", "script": {
+            "source": "emit(doc['dl'].value % 3)"}}}})
+    dl = np.asarray(s.doc_attrs["dl"], dtype=np.int64)
+    want = sorted(((f"{float(v)}", int((dl % 3 == v).sum()))
+                   for v in np.unique(dl % 3)), key=lambda kv: (-kv[1], kv[0]))
+    assert [(b["key"], b["doc_count"]) for b in got["aggregations"]["b"]
+            ["buckets"]] == want
+    assert "bucket" not in s.doc_attrs
+    with pytest.raises(ValueError, match="bucket"):
+        execute_dsl(s, {"size": 0, "aggs": agg})
+
+
+def test_rate_agg_without_unit_is_per_interval(dsl_index):
+    """A rate with no unit is the rate per parent interval — the bucket's
+    doc count (or field sum) unscaled; a mode other than sum refuses."""
+    s = Searcher(dsl_index, load_docs=True)
+    got = execute_dsl(s, {"size": 0, "aggs": {"h": {
+        "histogram": {"field": "dl", "interval": 40},
+        "aggs": {"n": {"rate": {}},
+                 "d": {"rate": {"field": "dl", "mode": "sum"}}}}}})
+    buckets = got["aggregations"]["h"]["buckets"]
+    assert buckets
+    dl = np.asarray(s.doc_attrs["dl"], dtype=np.float64)
+    for b in buckets:
+        in_b = (dl >= b["key"]) & (dl < b["key"] + 40)
+        assert b["n"]["value"] == b["doc_count"] == int(in_b.sum())
+        assert b["d"]["value"] == float(dl[in_b].sum())
+    with pytest.raises(NotImplementedError, match="mode"):
+        execute_dsl(s, {"size": 0, "aggs": {"h": {
+            "histogram": {"field": "dl", "interval": 40},
+            "aggs": {"n": {"rate": {"field": "dl",
+                                    "mode": "value_count"}}}}}})

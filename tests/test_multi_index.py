@@ -201,6 +201,32 @@ def test_cli_rollover(tmp_path, two_indexes, capsys):
     assert out["rolled_over"] is False and out["docs"] == 0
 
 
+def test_cli_search_through_alias_skips_unbuilt_generation(
+        tmp_path, two_indexes, capsys):
+    """After a rollover the alias also lists the new, not yet built
+    generation; searching through the alias reads the built generations
+    only, so it returns the old generation's hits instead of crashing."""
+    import json
+
+    from astrologer_ray.cli import main
+    from astrologer_ray.state.aliases import apply_actions, resolve
+
+    da, _db = two_indexes
+    reg = str(tmp_path / "roll.json")
+    apply_actions(reg, [{"add": {"index": da, "alias": "logs"}}])
+    new = str(tmp_path / "logs-000002")
+    assert main(["rollover", "logs", "--aliases", reg, "--max-docs", "1",
+                 "--new-index", new]) == 0
+    capsys.readouterr()
+    assert resolve(reg, "logs")[0] == [da, new]
+    body = '{"query": {"match": {"content": "merge index"}}, "size": 5}'
+    assert main(["search", "logs", body, "--dsl", "--aliases", reg]) == 0
+    via_alias = json.loads(capsys.readouterr().out.strip())
+    assert main(["search", da, body, "--dsl"]) == 0
+    direct = json.loads(capsys.readouterr().out.strip())
+    assert via_alias["hits"]["hits"] and via_alias == direct
+
+
 def test_multi_index_rejects_single_index_modes(two_indexes, capsys):
     """Flags whose semantics the multi-index pool does not implement
     (--phrase, --lang, --should, ...) must refuse, not silently fall

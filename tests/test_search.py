@@ -1698,3 +1698,126 @@ def test_maxscore_should_boost_after_match_taat(maxscore_env, variant):
             after = want[len(want) // 2][::-1]
             assert (_pairs(s.search(must, strategy="wand", after=after, **kw))
                     == _pairs(s.search(must, strategy="taat", after=after, **kw)))
+
+
+def _ref_columns(index_dir, lo, hi):
+    """The ``repo`` / ``lang`` sidecar columns plus every update overlay,
+    read straight from parquet into object arrays of per-doc Python values
+    (local doc order) — the reference for the dictionary-coded paths."""
+    import os
+
+    import pyarrow as pa
+
+    from astrologer_ray.pipelines.segments import index_generations
+
+    t = pa.concat_tables([
+        pq.read_table(p, columns=["doc_id", "repo", "lang"])
+        for g, _ in index_generations(index_dir)
+        for p in sorted(glob.glob(os.path.join(g, "docs", "*.parquet")))
+    ]).sort_by("doc_id").slice(lo, hi - lo)
+    ref = {c: np.array(t.column(c).to_pylist(), dtype=object)
+           for c in ("repo", "lang")}
+    for uf in sorted(glob.glob(os.path.join(index_dir, "updates", "*.parquet"))):
+        for row in pq.read_table(uf).to_pylist():
+            d = row.pop("doc_id")
+            for c, v in row.items():
+                ref.setdefault(c, np.full(hi - lo, None, dtype=object))
+                if lo <= d < hi:
+                    ref[c][d - lo] = v
+    return ref
+
+
+def _ranked_counts(values, order_by_count_desc=True):
+    from collections import Counter
+
+    cnt = Counter(v for v in values if v is not None)
+    sign = -1 if order_by_count_desc else 1
+    return sorted(cnt.items(), key=lambda kv: (sign * kv[1], kv[0]))
+
+
+@pytest.mark.parametrize("variant", ["single", "range", "two_gen", "update"])
+def test_coded_attrs_match_object_reference(maxscore_env, variant, tmp_path):
+    """Every path reading dictionary codes — term / exists / attr_prefix
+    filters, search(lang=), terms / rare_terms / multi_terms counts and
+    collapse winners — equals a plain per-doc object-array reference, on a
+    single build, a doc-range shard (doc_lo = 64), a base + appended
+    segment, and update_by_query overlays (a new column with nulls and the
+    empty string, and a re-encoded ``lang``); probes include values absent
+    from the column."""
+    if variant == "update":
+        import shutil
+
+        from astrologer_ray.pipelines.segments import update_by_query
+
+        idx = str(tmp_path / "idx")
+        shutil.copytree(maxscore_env["single"], idx)
+        for f, script in (
+            ({"term": {"lang": "go"}}, "ctx._source.tag = ''"),
+            ({"term": {"lang": "rs"}}, "ctx._source.tag = 'b'"),
+            ({"attr_prefix": {"repo": "r000"}}, "ctx._source.tag = 'a'"),
+            ({"attr_prefix": {"repo": "r0059"}}, "ctx._source.lang = 'zig'"),
+        ):
+            update_by_query(idx, f, script)
+        s = Searcher(idx)
+    else:
+        s = _maxscore_searcher(maxscore_env, variant)
+        idx = maxscore_env["two_gen" if variant == "two_gen" else "single"]
+    ref = _ref_columns(idx, s.doc_lo, s.doc_hi)
+    assert ("tag" in ref) == (variant == "update")
+    for attr in ref:
+        assert s.doc_attrs.coded(attr) is not None
+    probes = ["", "zz-absent", "py", "go", "zig", "a", "b", "r00070",
+              "r00599", None]
+    prefixes = ["", "r", "r000", "r0059", "r1", "p", "zz"]
+    in_lang_go = ref["lang"] == "go"
+    for attr, col in ref.items():
+        for v in probes:
+            want = np.array([x == v for x in col])
+            assert np.array_equal(s.filter_mask({"term": {attr: v}}), want), (attr, v)
+        want = np.array([x is not None and x != "" for x in col])
+        assert np.array_equal(s.filter_mask({"exists": attr}), want), attr
+        for p in prefixes:
+            want = np.array([x is not None and x.startswith(p) for x in col])
+            got = s.filter_mask({"attr_prefix": {attr: p}})
+            assert np.array_equal(got, want), (attr, p)
+        ranked = _ranked_counts(col)
+        assert s.agg_terms(attr, k=len(col)) == ranked, attr
+        assert s.agg_terms(attr, k=3) == ranked[:3], attr
+        assert s.agg_terms(attr, k=len(col), filter={"term": {"lang": "go"}}) \
+            == _ranked_counts(col[in_lang_go]), attr
+        rare = [kv for kv in _ranked_counts(col, False) if kv[1] <= 2]
+        assert s.agg_rare_terms(attr, max_doc_count=2) == rare, attr
+    pair = ("lang", "tag" if "tag" in ref else "repo")
+    keys = [(a, b) if a is not None and b is not None else None
+            for a, b in zip(ref[pair[0]], ref[pair[1]])]
+    assert s.agg_multi_terms(list(pair), k=10) == _ranked_counts(keys)[:10]
+
+    contents = maxscore_env["contents"]
+    in_range = np.zeros(len(contents), dtype=bool)
+    in_range[s.doc_lo:s.doc_hi] = True
+    vocab = sorted(s.df, key=lambda t: (-s.df[t], t))
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        q = list(rng.choice(vocab[:40], size=2))
+        for lang in ("py", "zig", "zz-absent"):
+            allowed = in_range.copy()
+            allowed[s.doc_lo:s.doc_hi] = ref["lang"] == lang
+            assert _pairs(s.search(q, k=10, lang=lang)) == oracle_topk(
+                contents, q, k=10, allowed=allowed), (q, lang)
+        ranked = oracle_topk(contents, q, k=len(contents), allowed=in_range)
+        for attr, col in ref.items():
+            seen, want = set(), []
+            for d, sc in ranked:  # docs without a value form one group
+                if col[d - s.doc_lo] not in seen:
+                    seen.add(col[d - s.doc_lo])
+                    want.append((d, sc))
+            got = _pairs(s.search_collapse(q, collapse=attr, k=5))
+            assert got == want[:5], (q, attr)
+            groups = _ranked_counts([col[d - s.doc_lo] for d, _ in ranked])
+            want = [(g, c, d, sc, r + 1) for g, c in groups[:4]
+                    for r, (d, sc) in enumerate(
+                        [h for h in ranked if col[h[0] - s.doc_lo] == g][:2])]
+            got = [(h["group"], h["doc_count"], h["doc_id"], h["score"],
+                    h["hit_rank"])
+                   for h in s.search_top_hits(q, attr, n_hits=2, k_groups=4)]
+            assert got == want, (q, attr)
