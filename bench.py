@@ -291,7 +291,7 @@ def bench_query_qps_sharded(n_queries: int = 800) -> dict:
 
     queries = _sample_queries(n_queries)
     pool = ShardedSearchPool(BENCH_INDEX, n_actors=max(2, NUM_CPUS // 4))
-    pool.search(queries[0][0], k=10)  # warm: actors load their shard
+    pool.warm()
     t0 = time.time()
     res = pool.search_many(queries)
     dt = time.time() - t0

@@ -1453,6 +1453,74 @@ def test_msearch_pool_matches_direct(dsl_index):
     assert got == want
 
 
+@pytest.mark.parametrize("topology", ["replicated", "sharded"])
+def test_pool_reraises_a_refused_body_and_keeps_serving(dsl_index, topology):
+    """A body ``execute_dsl`` refuses raises the same exception class
+    through the pool, with the remote traceback in its notes, and the next
+    request on the same connections succeeds (no reply left unread)."""
+    from astrologer_ray.state.pool import ReplicatedSearchPool, ShardedSearchPool
+
+    s = Searcher(dsl_index, load_docs=True)
+    w1 = max(s.df, key=lambda t: s.df[t])
+    refused = {"size": 0, "aggs": {"langs": {"terms": {
+        "field": "lang", "missing": "none"}}}}
+    with pytest.raises(NotImplementedError):
+        execute_dsl(s, refused)
+    good = {"query": {"match": {"content": w1}}, "size": 5,
+            "aggs": {"langs": {"terms": {"field": "lang", "size": 3}}}}
+    want = execute_dsl(s, good)
+    if topology == "replicated":
+        pool = ReplicatedSearchPool(dsl_index, n_actors=1, load_docs=True)
+    else:
+        pool = ShardedSearchPool(dsl_index, n_actors=3, load_docs=True)
+    try:
+        for _ in range(2):
+            with pytest.raises(NotImplementedError, match="missing") as ei:
+                pool.msearch([good, refused])
+            notes = getattr(ei.value, "__notes__", [])
+            assert any("remote traceback" in n and "execute_dsl" in n
+                       for n in notes), notes
+            (got,) = pool.msearch([good])
+            assert _ids_scores(got) == _ids_scores(want)
+            assert got["hits"]["total"] == want["hits"]["total"]
+            assert (got["aggregations"]["langs"]["buckets"]
+                    == want["aggregations"]["langs"]["buckets"])
+    finally:
+        pool.shutdown()
+
+
+def test_replicated_pool_resends_a_dead_replicas_share(dsl_index):
+    """ROADMAP 3(d): a replica killed after ``warm()`` leaves the rotation
+    and its share goes to the live one, so every ``msearch`` response still
+    equals direct ``execute_dsl``; with no replica left the error names
+    the actors."""
+    import time
+
+    import ray
+
+    from astrologer_ray.state.pool import ReplicatedSearchPool
+
+    s = Searcher(dsl_index, load_docs=True)
+    terms = [t for t, _ in sorted(s.df.items(), key=lambda kv: -kv[1])[:6]]
+    bodies = [{"query": {"match": {"content": t}}, "size": 4} for t in terms]
+    bodies.append({"size": 0, "aggs": {"langs": {"terms": {"field": "lang"}}}})
+    want = [execute_dsl(s, b) for b in bodies]
+    pool = ReplicatedSearchPool(dsl_index, n_actors=2, load_docs=True)
+    try:
+        pool.warm()
+        ray.kill(pool.actors[0])
+        assert pool.msearch(bodies) == want
+        assert pool.msearch(bodies) == want
+        ray.kill(pool.actors[1])
+        deadline = time.monotonic() + 60
+        with pytest.raises(ConnectionError, match="no live replica") as ei:
+            while time.monotonic() < deadline:  # ray.kill is asynchronous
+                pool.msearch(bodies)
+        assert all(repr(a) in str(ei.value) for a in pool.actors)
+    finally:
+        pool.shutdown()
+
+
 def test_function_score_general_form(dsl_index):
     """General function_score: field_value_factor, script_score, weight,
     per-function filters, score_mode/boost_mode combos — each verified

@@ -102,6 +102,27 @@ def test_multi_index_plain_search_and_msearch(two_indexes):
         pool.shutdown()
 
 
+def test_multi_index_pool_names_a_lost_index(two_indexes):
+    """``warm()`` opens every index's connection; an index actor lost
+    afterwards fails the request with an error naming that index."""
+    import time
+
+    import ray
+
+    da, db = two_indexes
+    pool = MultiIndexSearchPool([da, db])
+    try:
+        pool.warm()
+        assert len(pool._links) == 2
+        ray.kill(pool.actors[1])
+        deadline = time.monotonic() + 60
+        with pytest.raises(ConnectionError, match="index 'idx_b'"):
+            while time.monotonic() < deadline:  # ray.kill is asynchronous
+                pool.search(["merge"], k=3)
+    finally:
+        pool.shutdown()
+
+
 def test_aliases_atomic_actions(tmp_path, two_indexes):
     """_aliases actions validate fully before the atomic publish: a body
     with one bad action changes nothing; a swap (remove+add) lands as

@@ -368,6 +368,142 @@ def test_replicated_pool_equals_full_searcher(index_and_oracle):
         pool.shutdown()
 
 
+def test_pool_mid_size_messages_do_not_stall(index_and_oracle):
+    """A pool message above 16 KB goes out as two writes (header, then
+    payload); with Nagle's algorithm on, the payload waits for the peer's
+    delayed ACK (~40 ms). A 16-64 KB reply, and a 16-64 KB request with
+    such a reply, must come back equal to the in-process searcher and
+    fast."""
+    import pickle
+    import statistics
+    import time
+
+    from astrologer_ray.state.pool import ReplicatedSearchPool
+
+    index_dir, _contents, _ = index_and_oracle
+    full = Searcher(index_dir, load_docs=True)
+    terms = sorted(full.df, key=lambda t: -full.df[t])[:2]
+    n = full.n_local
+    keys = {"filter": {"bool": {"should": [
+        {"term": {"doc_key": key}} for key in full._attr("doc_key")]}}}
+    pool = ReplicatedSearchPool(index_dir, n_actors=1, load_docs=True)
+    try:
+        pool.warm()
+        for kw in ({}, keys):
+            want = full.search(terms, k=n, decorate=True, **kw)
+            assert 16_384 < len(pickle.dumps(want)) < 65_536
+            request = ("search", (terms,), {"k": n, "decorate": True, **kw})
+            assert kw == {} or 16_384 < len(pickle.dumps([request])) < 65_536
+            lat = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                got = pool.search(terms, k=n, decorate=True, **kw)
+                lat.append(time.perf_counter() - t0)
+                assert got == want
+            assert statistics.median(lat) < 0.020, (list(kw), lat)
+    finally:
+        pool.shutdown()
+
+
+def test_pool_connection_carries_one_request_at_a_time(index_and_oracle):
+    """Two driver threads share a one-replica pool: each reply is the one
+    for that thread's own query."""
+    import sys
+    import threading
+
+    from astrologer_ray.state.pool import ReplicatedSearchPool
+
+    index_dir, _contents, _ = index_and_oracle
+    full = Searcher(index_dir, load_docs=False)
+    qs = _queries(full)
+    # computed up front: the in-process searcher is not thread-safe either
+    wants = [[(h["doc_id"], h["score"]) for h in full.search(terms, k=k)]
+             for terms, k in qs]
+    pool = ReplicatedSearchPool(index_dir, n_actors=1)
+    errors = []
+
+    def client(offset: int) -> None:
+        try:
+            for i in range(50):
+                q = (i + offset) % len(qs)
+                terms, k = qs[q]
+                got = [(h["doc_id"], h["score"])
+                       for h in pool.search(terms, k=k)]
+                assert got == wants[q], (offset, i, terms)
+        except Exception as e:  # surfaced in the main thread
+            errors.append(e)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(off,))
+                   for off in (0, len(qs) // 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+        pool.shutdown()
+    assert not errors, errors
+
+
+def test_pool_connection_authenticates_and_serves_only_pool_methods(
+        index_and_oracle):
+    """The actor's listener drops a client with the wrong key and still
+    accepts the right one; a method outside the served four is refused
+    with ``ValueError`` and the connection stays usable."""
+    import pickle
+    from multiprocessing.connection import AuthenticationError, Client
+
+    import ray
+
+    from astrologer_ray.state.pool import ReplicatedSearchPool, _serve
+
+    index_dir, _contents, _ = index_and_oracle
+    full = Searcher(index_dir, load_docs=False)
+    terms = sorted(full.df, key=lambda t: -full.df[t])[:2]
+    pool = ReplicatedSearchPool(index_dir, n_actors=1)
+    try:
+        address, key = ray.get(pool.actors[0].__ray_call__.remote(_serve))
+        with pytest.raises(AuthenticationError):
+            Client(address, authkey=bytes(32))
+        with Client(address, authkey=key) as conn:
+            conn.send_bytes(pickle.dumps([("search", (terms,), {"k": 3})]))
+            ((ok, hits),) = pickle.loads(conn.recv_bytes())
+            assert ok and hits == full.search(terms, k=3)
+        with pytest.raises(ValueError, match="count"):
+            pool._route([("count", ({"exists": "lang"},), {})])
+        assert pool.search(terms, k=3) == full.search(terms, k=3)
+    finally:
+        pool.shutdown()
+
+
+def test_sharded_pool_names_a_lost_shard(index_and_oracle):
+    """A doc-range shard's documents live on one actor only: losing it
+    fails the request with an error naming the shard."""
+    import time
+
+    import ray
+
+    from astrologer_ray.state.pool import ShardedSearchPool
+
+    index_dir, _contents, _ = index_and_oracle
+    full = Searcher(index_dir, load_docs=False)
+    terms, k = _queries(full)[1]
+    pool = ShardedSearchPool(index_dir, n_actors=3)
+    try:
+        pool.warm()
+        ray.kill(pool.actors[1])
+        deadline = time.monotonic() + 60
+        with pytest.raises(ConnectionError, match=r"shard 1 \(chunks"):
+            while time.monotonic() < deadline:  # ray.kill is asynchronous
+                pool.search(terms, k=k)
+    finally:
+        pool.shutdown()
+
+
 def test_prefix_filters_match_scan(kw_index):
     """prefix / field_prefix / attr_prefix == brute startswith scans."""
     from astrologer_ray.functions.tokenizer import tokenize
