@@ -192,8 +192,6 @@ def _assign_doc_ids(partials_dir: str, docs_dir: str, parallelism: int,
     the object store; the wide ``content`` column was dropped in stage 1).
     Small corpora take the driver-side fast path (same assignment).
     """
-    import ray.data as rd
-
     partial_docs = sorted(glob.glob(os.path.join(partials_dir, "docs-*.parquet")))
     if pids is not None:
         partial_docs = [
@@ -211,6 +209,8 @@ def _assign_doc_ids(partials_dir: str, docs_dir: str, parallelism: int,
     if total_rows <= driver_sort_threshold:
         return _assign_doc_ids_driver(partial_docs, docs_dir, keymap_dir,
                                       id_base=id_base)
+
+    import ray.data as rd
 
     docs = rd.read_parquet(partial_docs)
     sorted_docs = docs.sort("doc_key").materialize()
@@ -283,8 +283,6 @@ def _write_keymap(docs_dir: str, keymap_dir: str, parallelism: int,
     and join partition-locally in stage 3. This keeps the postings table's
     single wide shuffle the term exchange — the one that matters.
     """
-    import ray.data as rd
-
     from astrologer_ray.stages.spimi import LROW_BITS
 
     if glob.glob(os.path.join(keymap_dir, "keymap-*.parquet")):
@@ -320,6 +318,8 @@ def _write_keymap(docs_dir: str, keymap_dir: str, parallelism: int,
         )
         write_groups(t.combine_chunks())
         return
+
+    import ray.data as rd
 
     km = rd.read_parquet(files, columns=["lrow", "doc_id", "dl"])
 
@@ -531,6 +531,95 @@ def merge_bucket_table(
     )
 
 
+def _read_keymap(files: list[str]):
+    """``(lrow, doc_id, dl)`` arrays from per-pid keymap files. Their lrow
+    ranges are disjoint and ascending in pid (= filename) order, so the
+    concatenation is globally lrow-sorted."""
+    t = pa.concat_tables(pq.read_table(f) for f in sorted(files)).combine_chunks()
+    return (
+        np.asarray(t.column("lrow")),
+        np.asarray(t.column("doc_id")),
+        np.asarray(t.column("dl")).astype(np.int32),
+    )
+
+
+def merge_buckets(
+    batch: pa.Table,
+    km,
+    *,
+    postings_dir: str,
+    keymap_dir: str,
+    n_shards: int,
+    chunk_bits: int,
+    avgdl: float,
+    k1: float,
+    b: float,
+) -> pa.Table:
+    """Stage-3 body: merge, encode and write every bucket named in ``batch``
+    (one row per bucket: ``bucket``, ``files``, ``rgs``); returns the
+    written chunks' ``(term, chunk_id, n, sum_tf)`` summaries.
+
+    ``km`` is the keymap as ``(lrow, doc_id, dl)`` arrays, or None to read,
+    per bucket, only the keymap files of the partitions in that bucket (the
+    shared-storage fallback for extreme doc counts).
+    """
+    import time as _t
+
+    out_summaries = []
+    for desc in batch.to_pylist():
+        _task0 = _t.monotonic()
+        bucket = int(desc["bucket"])
+        km_lrow, km_doc, km_dl = km if km is not None else _read_keymap([
+            os.path.join(keymap_dir,
+                         os.path.basename(f).replace("post-", "keymap-", 1))
+            for f in desc["files"]
+        ])
+        t = pa.concat_tables(
+            pq.ParquetFile(f).read_row_group(rg)
+            for f, rg in zip(desc["files"], desc["rgs"])
+        )
+        # shard = bucket mod n_shards: consistent with owns_term's
+        # term_hash64 % n_shards because n_shards divides n_buckets
+        out = merge_bucket_table(
+            t, km_lrow, km_doc, km_dl, shard=bucket % n_shards,
+            chunk_bits=chunk_bits, avgdl=avgdl, k1=k1, b=b,
+        )
+        if out.num_rows == 0:
+            continue
+        # write the bucket (term, last_doc_id)-sorted: terms are
+        # hash-partitioned so each lives in exactly ONE bucket, which
+        # makes per-term chunk runs contiguous in the concatenation of
+        # sorted buckets — Searcher's load-time global sort (paid by
+        # EVERY serving actor at cold start) becomes skippable for a
+        # single-generation index (meta flag postings_term_sorted)
+        out = out.sort_by([("term", "ascending"), ("last_doc_id", "ascending")])
+        out_path = os.path.join(postings_dir, f"post-bucket-{bucket:05d}.parquet")
+        pq.write_table(out, out_path, compression="zstd")
+        # per-bucket lineage timing (same diagnosis role as the stage-1
+        # manifests' task_sec); sidecar json, not globbed by Searcher
+        with open(
+            os.path.join(postings_dir, f"merge-manifest-{bucket:05d}.json"),
+            "w",
+        ) as mf:
+            json.dump(
+                {
+                    "bucket": bucket,
+                    "n_chunk_rows": out.num_rows,
+                    "out_bytes": os.path.getsize(out_path),
+                    "task_sec": round(_t.monotonic() - _task0, 4),
+                    "t_end_unix": round(_t.time(), 3),
+                },
+                mf,
+            )
+        out_summaries.append(out.select(["term", "chunk_id", "n", "sum_tf"]))
+    if not out_summaries:
+        return pa.schema(
+            [("term", pa.string()), ("chunk_id", pa.int64()),
+             ("n", pa.int64()), ("sum_tf", pa.int64())]
+        ).empty_table()
+    return pa.concat_tables(out_summaries)
+
+
 def _encode_postings(
     partials_dir: str,
     docs_dir: str,
@@ -546,11 +635,15 @@ def _encode_postings(
     retries: int = 3,
     pids: set[int] | None = None,
     merge_num_cpus: float | None = None,
+    in_process: bool = False,
 ) -> pa.Table:
     """Stage 3: bucket-partitioned EXTERNAL merge of the SPIMI partials.
 
     ``pids`` restricts the merge to a subset of source partitions (segment
     append encodes ONLY the new partitions' postings, pipelines/segments.py).
+    ``in_process=True`` merges the buckets one after another in the calling
+    process with no Ray call (a one-partition append: there is nothing to
+    spread over tasks); otherwise one Ray Data task per bucket.
 
     The wide term exchange is materialized through shared storage instead of
     an in-memory all-to-all: stage 1 already wrote each partition's packed
@@ -572,6 +665,44 @@ def _encode_postings(
     Returns the chunk-summary table (term, chunk_id, n, sum_tf) for the
     dictionary stage — no re-read of the postings needed.
     """
+    keymap_dir = os.path.join(os.path.dirname(postings_dir), "keymap")
+    _write_keymap(docs_dir, keymap_dir, parallelism,
+                  driver_threshold=driver_small_threshold)
+    os.makedirs(postings_dir, exist_ok=True)
+
+    # bucket -> (file, row group) map from the stage-1 manifests
+    buckets: dict[int, list[tuple[str, int]]] = {}
+    src_pids = completed_partitions(partials_dir)
+    if pids is not None:
+        src_pids &= set(pids)
+    for pid in sorted(src_pids):
+        with open(manifest_path(partials_dir, pid)) as f:
+            m = json.load(f)
+        for bstr, rg in json.loads(m.get("bucket_rgs", "{}")).items():
+            buckets.setdefault(int(bstr), []).append(
+                (os.path.join(partials_dir, f"post-{pid:06d}.parquet"), int(rg))
+            )
+    units = [
+        {"bucket": b_, "files": [f for f, _ in lst], "rgs": [r for _, r in lst]}
+        for b_, lst in sorted(buckets.items())
+    ]
+    merge_kw = dict(postings_dir=postings_dir, keymap_dir=keymap_dir,
+                    n_shards=n_shards, chunk_bits=chunk_bits, avgdl=avgdl,
+                    k1=k1, b=b)
+
+    # keymap: per-pid files with disjoint ascending lrow ranges -> concat in
+    # filename order is globally lrow-sorted. Placements:
+    #  - in process: the arrays themselves;
+    #  - broadcast (default): one ray.put, zero-copy plasma on each node;
+    #  - shared-storage fallback (keymap rows > keymap_broadcast_rows): at
+    #    extreme doc counts (~24 B/doc) the broadcast becomes the binding
+    #    constraint, so each merge task instead reads ONLY the keymap files
+    #    of the partitions present in its bucket straight from storage.
+    km_files = glob.glob(os.path.join(keymap_dir, "keymap-*.parquet"))
+    if in_process:
+        return merge_buckets(pa.Table.from_pylist(units),
+                             _read_keymap(km_files), **merge_kw)
+
     import ray
     import ray.data as rd
 
@@ -599,129 +730,19 @@ def _encode_postings(
         ncpu = int(ray.cluster_resources().get("CPU", 8))
         merge_num_cpus = max(1, min(4, ncpu - 1))
 
-    keymap_dir = os.path.join(os.path.dirname(postings_dir), "keymap")
-    _write_keymap(docs_dir, keymap_dir, parallelism,
-                  driver_threshold=driver_small_threshold)
-    os.makedirs(postings_dir, exist_ok=True)
-
-    # keymap: per-pid files with disjoint ascending lrow ranges -> concat in
-    # filename order is globally lrow-sorted. Two placements:
-    #  - broadcast (default): one ray.put, zero-copy plasma on each node;
-    #  - shared-storage fallback (keymap rows > keymap_broadcast_rows): at
-    #    extreme doc counts (~24 B/doc) the broadcast becomes the binding
-    #    constraint, so each merge task instead reads ONLY the keymap files
-    #    of the partitions present in its bucket straight from storage.
-    km_files = sorted(glob.glob(os.path.join(keymap_dir, "keymap-*.parquet")))
     km_rows = sum(pq.read_metadata(f).num_rows for f in km_files)
-    if km_rows <= keymap_broadcast_rows:
-        km = pa.concat_tables(pq.read_table(f) for f in km_files).combine_chunks()
-        km_ref = ray.put(
-            (
-                np.asarray(km.column("lrow")),
-                np.asarray(km.column("doc_id")),
-                np.asarray(km.column("dl")).astype(np.int32),
-            )
-        )
-        del km
-    else:
-        km_ref = None
+    km_ref = (
+        ray.put(_read_keymap(km_files)) if km_rows <= keymap_broadcast_rows
+        else None
+    )
 
-    # bucket -> (file, row group) map from the stage-1 manifests
-    post_files = sorted(glob.glob(os.path.join(partials_dir, "post-*.parquet")))
-    buckets: dict[int, list[tuple[str, int]]] = {}
-    src_pids = completed_partitions(partials_dir)
-    if pids is not None:
-        src_pids &= set(pids)
-    for pid in sorted(src_pids):
-        with open(manifest_path(partials_dir, pid)) as f:
-            m = json.load(f)
-        for bstr, rg in json.loads(m.get("bucket_rgs", "{}")).items():
-            buckets.setdefault(int(bstr), []).append(
-                (os.path.join(partials_dir, f"post-{pid:06d}.parquet"), int(rg))
-            )
-    units = [
-        {"bucket": b_, "files": [f for f, _ in lst], "rgs": [r for _, r in lst]}
-        for b_, lst in sorted(buckets.items())
-    ]
-
-    def load_keymap_for(files: list[str]):
-        """Fallback path: per-pid keymap files for exactly this bucket's
-        partitions, concatenated in pid order (== global lrow order)."""
-        pids = sorted(
-            int(os.path.basename(f).split("-")[1].split(".")[0]) for f in files
-        )
-        t = pa.concat_tables(
-            pq.read_table(os.path.join(keymap_dir, f"keymap-{pid:06d}.parquet"))
-            for pid in pids
-        ).combine_chunks()
-        return (
-            np.asarray(t.column("lrow")),
-            np.asarray(t.column("doc_id")),
-            np.asarray(t.column("dl")).astype(np.int32),
-        )
-
-    def merge_bucket(batch: pa.Table) -> pa.Table:
-        import time as _t
-
-        km_cached = ray.get(km_ref) if km_ref is not None else None
-        out_summaries = []
-        for desc in batch.to_pylist():
-            _task0 = _t.monotonic()
-            bucket = int(desc["bucket"])
-            km_lrow, km_doc, km_dl = (
-                km_cached if km_cached is not None
-                else load_keymap_for(list(desc["files"]))
-            )
-            t = pa.concat_tables(
-                pq.ParquetFile(f).read_row_group(rg)
-                for f, rg in zip(desc["files"], desc["rgs"])
-            )
-            # shard = bucket mod n_shards: consistent with owns_term's
-            # term_hash64 % n_shards because n_shards divides n_buckets
-            out = merge_bucket_table(
-                t, km_lrow, km_doc, km_dl, shard=bucket % n_shards,
-                chunk_bits=chunk_bits, avgdl=avgdl, k1=k1, b=b,
-            )
-            if out.num_rows == 0:
-                continue
-            # write the bucket (term, last_doc_id)-sorted: terms are
-            # hash-partitioned so each lives in exactly ONE bucket, which
-            # makes per-term chunk runs contiguous in the concatenation of
-            # sorted buckets — Searcher's load-time global sort (paid by
-            # EVERY serving actor at cold start) becomes skippable for a
-            # single-generation index (meta flag postings_term_sorted)
-            out = out.sort_by([("term", "ascending"), ("last_doc_id", "ascending")])
-            out_path = os.path.join(
-                postings_dir, f"post-bucket-{bucket:05d}.parquet"
-            )
-            pq.write_table(out, out_path, compression="zstd")
-            # per-bucket lineage timing (same diagnosis role as the stage-1
-            # manifests' task_sec); sidecar json, not globbed by Searcher
-            with open(
-                os.path.join(postings_dir, f"merge-manifest-{bucket:05d}.json"),
-                "w",
-            ) as mf:
-                json.dump(
-                    {
-                        "bucket": bucket,
-                        "n_chunk_rows": out.num_rows,
-                        "out_bytes": os.path.getsize(out_path),
-                        "task_sec": round(_t.monotonic() - _task0, 4),
-                        "t_end_unix": round(_t.time(), 3),
-                    },
-                    mf,
-                )
-            out_summaries.append(out.select(["term", "chunk_id", "n", "sum_tf"]))
-        if not out_summaries:
-            return pa.schema(
-                [("term", pa.string()), ("chunk_id", pa.int64()),
-                 ("n", pa.int64()), ("sum_tf", pa.int64())]
-            ).empty_table()
-        return pa.concat_tables(out_summaries)
+    def merge_task(batch: pa.Table) -> pa.Table:
+        km = ray.get(km_ref) if km_ref is not None else None
+        return merge_buckets(batch, km, **merge_kw)
 
     summaries = (
         rd.from_items(units, override_num_blocks=max(1, len(units)))
-        .map_batches(merge_bucket, batch_format="pyarrow", batch_size=1,
+        .map_batches(merge_task, batch_format="pyarrow", batch_size=1,
                      num_cpus=merge_num_cpus, max_retries=retries,
                      retry_exceptions=True)
         .materialize()
@@ -733,10 +754,25 @@ def _encode_postings(
 def _tokenize_stage(todo: list[dict], partials_dir: str, *, mode: str,
                     column_map: dict | None, key_cols, n_buckets: int,
                     keyword_fields: dict | None, positions: bool,
-                    retries: int) -> None:
+                    retries: int, in_process: bool = False) -> None:
     """Stage 1 runner: one Ray task per partition unit writing SPIMI
     partials + manifest (checkpointed; shared by build and segment append).
+    ``in_process=True`` tokenizes the units in the calling process instead,
+    with no Ray call and no retry (a failure raises to the caller).
     """
+    kwargs = {
+        "partials_dir": partials_dir,
+        "mode": mode,
+        "column_map": column_map,
+        "key_cols": key_cols,
+        "n_buckets": n_buckets,
+        "keyword_fields": keyword_fields,
+        "positions": positions,
+    }
+    if in_process:
+        tokenize_units(pa.Table.from_pylist(todo), **kwargs)
+        return
+
     import ray.data as rd
 
     # one block per unit => one task per unit (from_items' default block
@@ -744,15 +780,7 @@ def _tokenize_stage(todo: list[dict], partials_dir: str, *, mode: str,
     units_ds = rd.from_items(todo, override_num_blocks=len(todo))
     units_ds.map_batches(
         tokenize_units,
-        fn_kwargs={
-            "partials_dir": partials_dir,
-            "mode": mode,
-            "column_map": column_map,
-            "key_cols": key_cols,
-            "n_buckets": n_buckets,
-            "keyword_fields": keyword_fields,
-            "positions": positions,
-        },
+        fn_kwargs=kwargs,
         batch_format="pyarrow",
         batch_size=1,
         num_cpus=1,
@@ -766,8 +794,6 @@ def _write_dictionary(postings_dir: str, dict_dir: str,
     """Stage 4: term dictionary (df = sum of chunk posting counts) from the
     encoded postings' summary columns; returns the term count. Shared by the
     full build and the segment append (pipelines/segments.py)."""
-    import ray.data as rd
-
     post_files = glob.glob(os.path.join(postings_dir, "*.parquet"))
     n_chunk_rows = sum(pq.read_metadata(p).num_rows for p in post_files)
     if n_chunk_rows <= driver_small_threshold:
@@ -786,6 +812,7 @@ def _write_dictionary(postings_dir: str, dict_dir: str,
             compression="zstd",
         )
         return dictionary_t.num_rows
+    import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
     # explicit file list: the dir also holds merge-manifest json sidecars

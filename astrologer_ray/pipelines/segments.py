@@ -12,6 +12,14 @@ and encodes ONLY the new postings into ``index_dir/segments/seg-NNNNNN/``
 is never rewritten — at 100 TB, adding 0.1% new docs costs 0.1% of the
 build, not a full re-merge.
 
+Size rule: when the partitions an append adopts hold at most
+``partition_rows`` rows in total — one tokenize task's worth, e.g. a
+near-real-time tail batch — every stage (tokenize, doc ids, merge+encode,
+dictionary) runs as plain calls in the caller's process, with no Ray call at
+all; larger appends run tokenize and merge as Ray Data tasks, as the build
+does. Both paths write the same partials and the same segment files; the
+segment's ``stats/meta.json`` records which one ran (``in_process``).
+
 Correctness of multi-segment BM25 (state/searcher.py loads base + segments):
 
 * **doc order** — appends are gated monotone: every new doc_key must sort
@@ -46,6 +54,7 @@ import glob
 import json
 import os
 import shutil
+import sys
 import time as _time
 
 import pyarrow.parquet as pq
@@ -182,9 +191,15 @@ def append_segment(
     segment dir, which the next call wipes and redoes — its partitions are
     unclaimed, so they are adopted into the new segment (stage-1 partials
     are checkpointed and survive).
-    """
-    import ray
 
+    Size rule: when the adopted partitions hold at most ``partition_rows``
+    rows in total, tokenize and merge run in this process with no Ray call
+    (so do doc ids and the dictionary, whatever ``driver_small_threshold``
+    says); otherwise as Ray Data tasks. ``retries`` and ``parallelism``
+    apply to Ray tasks only: an in-process failure raises to the caller,
+    and the next call redoes the append through the same un-``_SUCCESS``
+    wipe.
+    """
     from astrologer_ray.pipelines.build import (
         _assign_doc_ids,
         _corpus_paths,
@@ -213,8 +228,6 @@ def append_segment(
     n_shards = int(meta0["n_shards"])
     chunk_bits = int(meta0["chunk_bits"])
     k1, b = float(meta0["k1"]), float(meta0["b"])
-    if parallelism is None:
-        parallelism = max(2, int(ray.cluster_resources().get("CPU", 4)))
 
     partials_dir = os.path.join(index_dir, "partials")
     cfg = effective_config(
@@ -267,19 +280,34 @@ def append_segment(
         out["appended"] = 0
         return out
 
+    # size rule: adopted partitions of at most one partition's worth of rows
+    # would be a single tokenize task, and one partition's postings leave
+    # the merge nothing to spread, so every stage runs in this process
+    new_set = set(new_pids)
+    in_process = (
+        sum(u["n_rows"] for u in units if u["part_id"] in new_set)
+        <= partition_rows
+    )
+    if in_process:
+        # doc ids, keymap and dictionary take their driver paths too
+        driver_small_threshold = sys.maxsize
+    elif parallelism is None:
+        import ray
+
+        parallelism = max(2, int(ray.cluster_resources().get("CPU", 4)))
+
     timings: dict[str, float] = {}
     _t0 = _time.time()
-    todo = [u for u in units if u["part_id"] in set(new_pids) - done]
+    todo = [u for u in units if u["part_id"] in new_set - done]
     if todo:
         _tokenize_stage(todo, partials_dir, mode=mode, column_map=column_map,
                         key_cols=key_cols, n_buckets=n_buckets,
                         keyword_fields=keyword_fields, positions=positions,
-                        retries=retries)
+                        retries=retries, in_process=in_process)
     timings["tokenize_partials"] = _time.time() - _t0
 
     from astrologer_ray.stages.spimi import manifest_path
 
-    new_set = set(new_pids)
     seg_metrics = []
     for pid in new_pids:
         with open(manifest_path(partials_dir, pid)) as f:
@@ -332,7 +360,7 @@ def append_segment(
         chunk_bits, n_shards, parallelism,
         driver_small_threshold=driver_small_threshold,
         keymap_broadcast_rows=keymap_broadcast_rows,
-        retries=retries, pids=new_set,
+        retries=retries, pids=new_set, in_process=in_process,
     )
     timings["postings_encode"] = _time.time() - _t0
 
@@ -347,6 +375,8 @@ def append_segment(
     os.makedirs(os.path.join(seg_dir, "stats"), exist_ok=True)
     seg_meta = {
         "timings": {k: round(v, 3) for k, v in timings.items()},
+        # which executor ran tokenize and merge: this process, or Ray Data
+        "in_process": in_process,
         "n_docs": new_n_docs,
         "sum_dl": new_sum_dl,
         "n_postings": new_n_postings,

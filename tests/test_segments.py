@@ -428,3 +428,210 @@ def test_compact_preserves_tombstones(ray_session, tmp_path):
     assert s2.deleted is not None
     assert not base_victims & {h["doc_id"] for h in s2.search([victim], k=450)}
     assert s2.count() == s2.N - len(s2.deleted)
+
+
+# ---- small appends run in process; larger ones on Ray Data ---------------
+# The two executors must write the same segment. A path is chosen by size
+# alone (adopted rows <= partition_rows), so each path's reference is the
+# same append on a base built with another partition_rows: doc ids, chunk
+# ids and buckets do not depend on the partition plan.
+
+TAIL_RANGES = [(0, 200), (200, 300), (300, 600)]
+
+
+def _segment_tables(seg_dir: str) -> dict:
+    """A segment's decoded postings, dict and docs tables in a canonical
+    order. Docs drop ``lrow``: it names the stage-1 partition row, which
+    the partition plan decides."""
+    from astrologer_ray.functions.codec import decode_chunk
+
+    def read(sub: str) -> pa.Table:
+        files = sorted(
+            os.path.join(seg_dir, sub, f)
+            for f in os.listdir(os.path.join(seg_dir, sub))
+            if f.endswith(".parquet")
+        )
+        return pa.concat_tables(pq.read_table(f) for f in files)
+
+    post = read("postings").sort_by([("term", "ascending"),
+                                     ("chunk_id", "ascending")])
+    decoded = [
+        (r["term"], r["chunk_id"], *(a.tolist() for a in decode_chunk(r)))
+        for r in post.to_pylist()
+    ]
+    docs = read("docs")
+    return {
+        "postings": post,
+        "decoded": decoded,
+        "dict": read("dict").sort_by("term"),
+        "docs": docs.drop_columns(["lrow"]).sort_by("doc_id"),
+        "in_process": json.load(
+            open(os.path.join(seg_dir, "stats", "meta.json")))["in_process"],
+    }
+
+
+def _assert_same_segment(a: dict, b: dict) -> None:
+    for name in ("decoded", "postings", "dict", "docs"):
+        assert a[name] == b[name], name
+
+
+@pytest.fixture(scope="module")
+def tail_env(ray_session, tmp_path_factory):
+    """Base over part-000 (200 rows), then two tail appends: part-001
+    (100 rows) and part-002 (300 rows), 50-row row groups. Per
+    ``partition_rows``: 100 -> in process, then Ray Data (3 units);
+    50 -> Ray Data (2 units); 300 -> in process twice."""
+    import shutil
+
+    from astrologer_ray.pipelines.build import build_index
+    from astrologer_ray.pipelines.segments import append_segment
+
+    d = tmp_path_factory.mktemp("tailcorpus")
+    files = []
+    for j, (lo, hi) in enumerate(TAIL_RANGES):
+        p = str(d / f"part-{j:03d}.parquet")
+        _write_part(p, lo, hi, seed=23)
+        pq.write_table(pq.read_table(p), p, row_group_size=50)
+        files.append(p)
+    env = {"files": files, "dir": d}
+    for rows in (100, 50, 300):
+        idx = str(d / f"idx{rows}")
+        build_index(files[:1], idx, mode="code", chunk_bits=8,
+                    partition_rows=rows)
+        if rows == 100:
+            env["base100"] = str(d / "base100")
+            shutil.copytree(idx, env["base100"])
+        env[f"out{rows}"] = [append_segment(files[:2], idx, partition_rows=rows)]
+        if rows != 50:
+            env[f"out{rows}"].append(
+                append_segment(files, idx, partition_rows=rows))
+        env[f"idx{rows}"] = idx
+    env["full"] = str(d / "full")
+    build_index(files, env["full"], mode="code", chunk_bits=8,
+                partition_rows=100)
+    return env
+
+
+def _seg(idx: str, n: int) -> dict:
+    return _segment_tables(os.path.join(idx, "segments", f"seg-{n:06d}"))
+
+
+def test_in_process_append_matches_ray_data_append(tail_env):
+    """Each path's segment equals the other path's segment of the same
+    rows: decoded postings, encoded chunks, dictionary and docs."""
+    e = tail_env
+    assert [o["appended"] for o in e["out100"]] == [100, 300]
+    assert [o["segment_meta"]["in_process"] for o in e["out100"]] == [True, False]
+    assert [o["segment_meta"]["in_process"] for o in e["out50"]] == [False]
+    assert [o["segment_meta"]["in_process"] for o in e["out300"]] == [True, True]
+
+    small_in, small_ray = _seg(e["idx100"], 1), _seg(e["idx50"], 1)
+    assert (small_in["in_process"], small_ray["in_process"]) == (True, False)
+    _assert_same_segment(small_in, small_ray)
+    assert len(small_in["decoded"]) > 0
+
+    big_ray, big_in = _seg(e["idx100"], 2), _seg(e["idx300"], 2)
+    assert (big_ray["in_process"], big_in["in_process"]) == (False, True)
+    _assert_same_segment(big_ray, big_in)
+
+
+def test_in_process_appends_match_oracle_and_full_build(tail_env):
+    """Search over base + segments equals brute-force BM25 on the combined
+    contents, and a chain of two in-process appends equals one full
+    build of the same files."""
+    from astrologer_ray.state.bm25 import oracle_topk
+    from astrologer_ray.state.searcher import Searcher
+
+    e = tail_env
+    contents = []
+    for f in e["files"]:
+        contents += pq.read_table(f, columns=["content"]).column(
+            "content").to_pylist()
+    full = Searcher(e["full"])
+    for name in ("idx100", "idx300"):
+        s = Searcher(e[name])
+        assert s.N == len(contents) == 600
+        for q in QUERIES:
+            want = oracle_topk(contents, q, k=12)
+            got = [(h["doc_id"], h["score"]) for h in s.search(q, k=12)]
+            assert got == want, (name, q)
+    chain = Searcher(e["idx300"])
+    assert chain.df == full.df
+    for q in QUERIES:
+        for strategy in ("taat", "wand"):
+            assert (_hits(chain, q, strategy=strategy)
+                    == _hits(full, q, strategy=strategy))
+
+
+def test_in_process_append_failure_is_atomic(tail_env, tmp_path, monkeypatch):
+    """A merge that raises inside an in-process append reaches the caller
+    and commits nothing (no _SUCCESS, claims unchanged); the next call
+    wipes the pending segment and writes the same segment as a clean
+    append."""
+    import shutil
+
+    from astrologer_ray.pipelines import build
+    from astrologer_ray.pipelines.segments import (
+        _claims_path,
+        append_segment,
+        segment_dirs,
+    )
+
+    e = tail_env
+    idx = str(tmp_path / "idx")
+    shutil.copytree(e["base100"], idx)
+    files = e["files"][:2]
+    assert append_segment(files[:1], idx, partition_rows=100)["appended"] == 0
+    claims_before = open(_claims_path(idx)).read()
+
+    real = build.merge_bucket_table
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("injected merge failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(build, "merge_bucket_table", fail_once)
+    with pytest.raises(RuntimeError, match="injected merge failure"):
+        append_segment(files, idx, partition_rows=100)
+    assert segment_dirs(idx) == []
+    assert not os.path.exists(
+        os.path.join(idx, "segments", "seg-000001", "_SUCCESS"))
+    assert open(_claims_path(idx)).read() == claims_before
+
+    out = append_segment(files, idx, partition_rows=100)
+    assert out["appended"] == 100
+    assert out["segment_meta"]["in_process"] is True
+    _assert_same_segment(_seg(idx, 1), _seg(e["idx100"], 1))
+
+
+def test_small_append_needs_no_ray(tail_env, tmp_path):
+    """An in-process append makes no Ray call: run in a fresh interpreter
+    that never initializes Ray, it appends the batch and leaves Ray
+    uninitialized (ray.put, ray.data and cluster_resources would each
+    start or require a session)."""
+    import shutil
+    import subprocess
+    import sys
+
+    e = tail_env
+    idx = str(tmp_path / "idx")
+    shutil.copytree(e["base100"], idx)
+    code = (
+        "import json, sys, ray\n"
+        "from astrologer_ray.pipelines.segments import append_segment\n"
+        "out = append_segment(json.loads(sys.argv[1]), sys.argv[2],"
+        " partition_rows=100)\n"
+        "print(json.dumps([out['appended'], ray.is_initialized()]))\n"
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo)
+    res = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(e["files"][:2]), idx],
+        capture_output=True, text=True, timeout=300, env=env, cwd=repo,
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert json.loads(res.stdout.strip().splitlines()[-1]) == [100, False]
+    _assert_same_segment(_seg(idx, 1), _seg(e["idx100"], 1))
