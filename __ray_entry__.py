@@ -4559,7 +4559,7 @@ def terms_set_documents(sf_dir: str):
     ``minimum_should_match_field``-many of the given terms, scored by the
     BM25 sum of the matched terms — expressed through the engine's
     should-clause machinery (no must terms, min_should_match=N), identical
-    under dense TAAT and MaxScore."""
+    under every top-k ``strategy``."""
     from astrologer_ray.state.searcher import Searcher
 
     s = Searcher(_documents_index(sf_dir), load_docs=False)

@@ -13,7 +13,7 @@ halves natively on Ray Data:
   posting chunks (what Elasticsearch/Lucene did for the reference),
 - query serving   -> actor pool holding dictionary + posting shards,
   exact top-k BM25 (k1=1.2, b=0.75) via term-level MaxScore over cached
-  decoded impacts, dense term-at-a-time when most docs are candidates
+  decoded impacts, dense weight vectors for head terms
   (reference query surface: es.postman_collection.json).
 
 Package layout:

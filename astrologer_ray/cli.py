@@ -1092,9 +1092,10 @@ def main(argv: list[str] | None = None) -> int:
                          '{"dl": {"gte": 10}}}]}}\'')
     se.add_argument("--strategy", default="auto",
                     choices=["auto", "taat", "wand"],
-                    help="top-k engine: auto = term-level MaxScore, dense "
-                         "TAAT when most docs are candidates; wand = always "
-                         "MaxScore; taat = always dense (all exact)")
+                    help="MaxScore candidate set: auto = essential "
+                         "terms' postings, or every doc once a dense head "
+                         "term is essential; wand = always the postings; "
+                         "taat = always every doc (all exact)")
     se.add_argument("--should", default=None,
                     help="should-clause text: adds BM25 score to matching "
                          "candidates (ES bool.should in query context)")

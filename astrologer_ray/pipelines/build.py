@@ -554,10 +554,9 @@ def merge_buckets(
     avgdl: float,
     k1: float,
     b: float,
-) -> pa.Table:
+) -> None:
     """Stage-3 body: merge, encode and write every bucket named in ``batch``
-    (one row per bucket: ``bucket``, ``files``, ``rgs``); returns the
-    written chunks' ``(term, chunk_id, n, sum_tf)`` summaries.
+    (one row per bucket: ``bucket``, ``files``, ``rgs``).
 
     ``km`` is the keymap as ``(lrow, doc_id, dl)`` arrays, or None to read,
     per bucket, only the keymap files of the partitions in that bucket (the
@@ -565,7 +564,6 @@ def merge_buckets(
     """
     import time as _t
 
-    out_summaries = []
     for desc in batch.to_pylist():
         _task0 = _t.monotonic()
         bucket = int(desc["bucket"])
@@ -611,13 +609,6 @@ def merge_buckets(
                 },
                 mf,
             )
-        out_summaries.append(out.select(["term", "chunk_id", "n", "sum_tf"]))
-    if not out_summaries:
-        return pa.schema(
-            [("term", pa.string()), ("chunk_id", pa.int64()),
-             ("n", pa.int64()), ("sum_tf", pa.int64())]
-        ).empty_table()
-    return pa.concat_tables(out_summaries)
 
 
 def _encode_postings(
@@ -636,7 +627,7 @@ def _encode_postings(
     pids: set[int] | None = None,
     merge_num_cpus: float | None = None,
     in_process: bool = False,
-) -> pa.Table:
+) -> None:
     """Stage 3: bucket-partitioned EXTERNAL merge of the SPIMI partials.
 
     ``pids`` restricts the merge to a subset of source partitions (segment
@@ -662,8 +653,8 @@ def _encode_postings(
     independently-encoded chunks that concatenate in doc_id order), and
     Zipf head terms hash into different buckets.
 
-    Returns the chunk-summary table (term, chunk_id, n, sum_tf) for the
-    dictionary stage — no re-read of the postings needed.
+    The dictionary stage reads the chunk summaries back from the written
+    postings' ``n`` / ``sum_tf`` columns.
     """
     keymap_dir = os.path.join(os.path.dirname(postings_dir), "keymap")
     _write_keymap(docs_dir, keymap_dir, parallelism,
@@ -700,8 +691,9 @@ def _encode_postings(
     #    of the partitions present in its bucket straight from storage.
     km_files = glob.glob(os.path.join(keymap_dir, "keymap-*.parquet"))
     if in_process:
-        return merge_buckets(pa.Table.from_pylist(units),
-                             _read_keymap(km_files), **merge_kw)
+        merge_buckets(pa.Table.from_pylist(units), _read_keymap(km_files),
+                      **merge_kw)
+        return
 
     import ray
     import ray.data as rd
@@ -738,17 +730,14 @@ def _encode_postings(
 
     def merge_task(batch: pa.Table) -> pa.Table:
         km = ray.get(km_ref) if km_ref is not None else None
-        return merge_buckets(batch, km, **merge_kw)
+        merge_buckets(batch, km, **merge_kw)
+        return batch.select(["bucket"])  # Ray Data needs a batch back
 
-    summaries = (
-        rd.from_items(units, override_num_blocks=max(1, len(units)))
-        .map_batches(merge_task, batch_format="pyarrow", batch_size=1,
-                     num_cpus=merge_num_cpus, max_retries=retries,
-                     retry_exceptions=True)
-        .materialize()
-    )
-    # collect the (small) summary table driver-side
-    return pa.Table.from_pandas(summaries.to_pandas(), preserve_index=False)
+    (rd.from_items(units, override_num_blocks=max(1, len(units)))
+     .map_batches(merge_task, batch_format="pyarrow", batch_size=1,
+                  num_cpus=merge_num_cpus, max_retries=retries,
+                  retry_exceptions=True)
+     .materialize())
 
 
 def _tokenize_stage(todo: list[dict], partials_dir: str, *, mode: str,

@@ -29,7 +29,7 @@ Correctness of multi-segment BM25 (state/searcher.py loads base + segments):
   concatenate into valid doc_id-ascending posting lists.
 * **exact scores** — postings store per-posting (tf, dl); the searcher
   scores with the COMBINED global stats (N, avgdl summed over segments;
-  df summed over per-segment dictionaries), so TAAT scores are bit-exact
+  df summed over per-segment dictionaries), so scores are bit-exact
   regardless of segmentation.
 * **block maxima** — each segment's precomputed block-max tf-norms were
   baked with the global avgdl AT ITS ENCODE TIME (``encode_avgdl`` in its

@@ -8,18 +8,20 @@ per ``Searcher`` — in Ray, once per actor (SURVEY §2.3 ST4: ``map_batches(
 SearchStage, concurrency=N)`` for batch query sets; plain actors for QPS).
 
 Top-k BM25 is term-level MaxScore over cached impacts (Turtle & Flood
-1995), vectorized: each term's decoded ``(ids, weights)`` array is
-LRU-cached with its max weight as the term's upper bound. The
-highest-bound terms form the *essential* set; only docs in their
-posting union are scored (a ``searchsorted`` gather per term), and the
-cut is accepted when the remaining terms' summed bound, times a 1+1e-12
-safety factor against float reassociation, is strictly below the k-th
-candidate score — strict, so the (score desc, doc_id asc) tie-break stays
-exact. Otherwise more terms join the essential set. Queries whose
-essential postings cover a large share of the doc space fall back to
-dense term-at-a-time scatter (``_search_taat``). Both paths add
-contributions in sorted-term order, so scores are bit-identical to the
-oracle.
+1995), vectorized, on one path: each term's decoded weights are
+LRU-cached with their max as the term's upper bound — sparse ``(ids,
+weights)``, or, once the term is in half the local docs, one dense weight
+vector over the local range (no larger, and gathered by direct index).
+The highest-bound terms form the *essential* set. Their posting union is
+the candidate set, or the whole local range once a dense term is
+essential; every term adds its weight to every candidate (a dense
+term's ``w[cand]``, a sparse term's ``searchsorted`` gather). The cut is
+accepted when the remaining terms' summed bound, times a 1+1e-12 safety
+factor against float reassociation, is strictly below the k-th candidate
+score — strict, so the (score desc, doc_id asc) tie-break stays exact.
+Otherwise more terms join the essential set. Contributions go in
+sorted-term order, a non-posting adding +0.0, so scores are
+bit-identical to the oracle.
 
 Doc attributes (``DocAttrs``) keep string columns as dictionary codes:
 string filters, ``lang=``, terms-style aggregations and collapse compare
@@ -482,21 +484,22 @@ class Searcher:
 
         return term_hash64(term) % self.n_shards in self.shards
 
-    # dense TAAT fallback: while a float64 accumulator over the local doc
-    # space is cheap (8 MB per 1M docs), a query whose essential postings
-    # exceed DENSE_FRAC of the local docs scatters into it instead of
-    # gathering per candidate; above TAAT_MAX_DOCS MaxScore always runs
-    TAAT_MAX_DOCS = 8_000_000
-    DENSE_FRAC = 0.25
-    # decoded (ids, weights, max weight) LRU cache: a term's contribution
-    # array is query-independent, and Zipf head terms (df ~ N) recur
-    # constantly — without the cache every such query re-decodes ~N
-    # varbyte postings
+    # decoded-impacts LRU cache: a term's weights are query-independent,
+    # and Zipf head terms (df ~ N) recur constantly — without the cache
+    # every such query re-decodes ~N varbyte postings. Capacity counts
+    # stored weights: a sparse entry's postings, a dense entry's n_local
     TAAT_CACHE_VALS = 32_000_000  # ~512 MB ceiling
 
-    def _term_entry(self, t: str) -> tuple[np.ndarray, np.ndarray, float]:
-        """One term's cached ``(local ids ascending, BM25 weights, max
-        weight)`` — the max is the term's exact MaxScore upper bound."""
+    def _term_entry(self, t: str
+                    ) -> tuple[np.ndarray | None, np.ndarray, float, int]:
+        """One term's cached ``(ids, w, ub, n)``: its ``n`` local postings
+        and their max weight ``ub``, the term's exact MaxScore upper bound.
+        Sparse: ``ids`` are the local ids ascending and ``w`` their BM25
+        weights. Dense, once ``2 * n >= n_local`` (a float64 per local doc
+        is then no larger than an int64 id plus a float64 weight per
+        posting): ``ids`` is None and ``w`` holds every local doc's weight,
+        0.0 where the term is absent — every posting's weight is positive
+        (idf > 0, tf >= 1), so ``w > 0`` is exactly the posting set."""
         ent = self._taat_cache.get(t)
         if ent is not None:
             self._taat_cache.move_to_end(t)
@@ -518,20 +521,40 @@ class Searcher:
         w = np.concatenate(parts_w) if len(parts_w) > 1 else parts_w[0]
         if self.doc_lo:
             # cache LOCAL ids once at decode time so every query-time
-            # scatter indexes the range-sized accumulators directly
+            # gather indexes the range-sized arrays directly
             ids = ids - self.doc_lo
-        ent = (ids, w, float(w.max()))
-        while self._taat_cache and self._taat_cache_vals + len(ids) > self.TAAT_CACHE_VALS:
-            _, (old_i, _w, _ub) = self._taat_cache.popitem(last=False)
-            self._taat_cache_vals -= len(old_i)
-        if len(ids) <= self.TAAT_CACHE_VALS:
+        if 2 * len(ids) >= self.n_local:
+            lo, ub = float(w.min()), float(w.max())
+            if not lo > 0.0:
+                raise ValueError(
+                    f"term {t!r} has a posting weight {lo} <= 0: a dense "
+                    "entry's w > 0 hit test would drop that posting")
+            dw = np.zeros(self.n_local)
+            dw[ids] = w
+            ent = (None, dw, ub, len(ids))
+        else:
+            ent = (ids, w, float(w.max()), len(ids))
+        n = len(ent[1])
+        while self._taat_cache and self._taat_cache_vals + n > self.TAAT_CACHE_VALS:
+            _, old = self._taat_cache.popitem(last=False)
+            self._taat_cache_vals -= len(old[1])
+        if n <= self.TAAT_CACHE_VALS:
             self._taat_cache[t] = ent
-            self._taat_cache_vals += len(ids)
+            self._taat_cache_vals += n
         return ent
 
-    def _term_contribution(self, t: str) -> tuple[np.ndarray, np.ndarray]:
-        ids, w, _ub = self._term_entry(t)
+    @staticmethod
+    def _sparse(ent) -> tuple[np.ndarray, np.ndarray]:
+        """A term entry's ``(local ids ascending, weights)``; a dense
+        entry's is built per call and never cached."""
+        ids, w = ent[0], ent[1]
+        if ids is None:
+            ids = np.flatnonzero(w)
+            w = w[ids]
         return ids, w
+
+    def _term_contribution(self, t: str) -> tuple[np.ndarray, np.ndarray]:
+        return self._sparse(self._term_entry(t))
 
     @staticmethod
     def _check_boosts(boosts) -> None:
@@ -542,87 +565,6 @@ class Searcher:
             for t, b in boosts.items():
                 if not float(b) > 0.0:
                     raise ValueError(f"boost for {t!r} must be > 0, got {b}")
-
-    def _ensure_score_bufs(self):
-        if getattr(self, "_score_buf", None) is None:
-            self._score_buf = np.zeros(self.n_local, dtype=np.float64)
-            self._match_buf = np.zeros(self.n_local, dtype=bool)
-        return self._score_buf, self._match_buf
-
-    def _taat_accumulate(self, qterms, boosts=None):
-        """Accumulate BM25 contributions into the shared dense buffers —
-        the ONE copy of the TAAT hot loop (search/collapse/top_hits all
-        call it). Returns (scores, matched, touched); callers MUST reset
-        with :meth:`_taat_reset` in a ``finally``. A boost multiplies the
-        cached weight array (weight * boost — the association the MaxScore
-        gather mirrors); the LRU'd array itself is never mutated."""
-        scores, matched = self._ensure_score_bufs()
-        touched = []
-        for t in qterms:
-            if t not in self.postings:
-                continue
-            ids, w = self._term_contribution(t)
-            if boosts and t in boosts:
-                scores[ids] += w * float(boosts[t])
-            else:
-                scores[ids] += w
-            matched[ids] = True
-            touched.append(ids)
-        return scores, matched, touched
-
-    def _taat_reset(self, touched, should_count=None) -> None:
-        scores, matched = self._score_buf, self._match_buf
-        for ids in touched:
-            scores[ids] = 0.0
-            matched[ids] = False
-            if should_count is not None:
-                should_count[ids] = 0
-
-    def _search_taat(self, qterms, k, allowed, should_terms=None,
-                     min_should_match=0, after=None, boosts=None):
-        """Exact term-at-a-time scoring: one numpy pass per query term.
-
-        Bit-identical to the oracle: same weight expression, contributions
-        added in sorted-term order (scores[ids] += w is elementwise add in
-        that order). The dense accumulators are allocated ONCE per
-        searcher and reset by re-scattering zeros over only the touched
-        ids — per-query memory traffic is bounded by the posting lists
-        actually visited, not by N. The fallback of
-        :meth:`_search_maxscore` when most docs are candidates anyway.
-        """
-        scores, matched, touched = self._taat_accumulate(qterms, boosts)
-        should_count = None
-        if should_terms:
-            # should clauses add score and a per-doc match count; they never
-            # create candidates on their own unless there are no must terms
-            should_count = np.zeros(self.n_local, dtype=np.int32)
-            for t in sorted(set(should_terms) - set(qterms)):
-                if t not in self.postings or not self.owns_term(t):
-                    continue
-                ids, w = self._term_contribution(t)
-                if boosts and t in boosts:
-                    scores[ids] += w * float(boosts[t])
-                else:
-                    scores[ids] += w
-                should_count[ids] += 1
-                touched.append(ids)
-                if not qterms:
-                    matched[ids] = True
-        cand = np.flatnonzero(matched)
-        if should_count is not None:
-            msm = max(min_should_match, 0 if qterms else 1)
-            if msm > 0:
-                cand = cand[should_count[cand] >= msm]
-        if allowed is not None:
-            cand = cand[allowed[cand]]
-        try:
-            cs = scores[cand]
-            if after is not None:
-                keep = self._after_mask(cand, cs, after)
-                cand, cs = cand[keep], cs[keep]
-            return self._topk(cand, cs, k)
-        finally:
-            self._taat_reset(touched, should_count)
 
     def _after_mask(self, cand: np.ndarray, cs: np.ndarray, after) -> np.ndarray:
         """Deep pagination: keep docs strictly AFTER the (score, doc_id)
@@ -647,63 +589,120 @@ class Searcher:
         lo = self.doc_lo
         return [(int(cand[i]) + lo, float(cs[i])) for i in order]
 
-    def _search_maxscore(self, qterms, k, allowed, should_terms=None,
-                         min_should_match=0, after=None, boosts=None,
-                         dense_ok=True):
-        """Exact term-level MaxScore top-k (module docstring): same
-        arguments and bit-identical results as :meth:`_search_taat`, but
-        only docs in the essential terms' posting union are scored, by a
-        ``searchsorted`` gather into each term's sorted ids — nothing
-        N-sized is allocated. With ``dense_ok`` a query whose essential
-        postings exceed ``DENSE_FRAC`` of the local docs goes to
-        :meth:`_search_taat` instead."""
+    def _clauses(self, qterms, should_terms=None, min_should_match=0,
+                 boosts=None):
+        """A query's scored terms in the oracle's order — must terms, then
+        the remaining should terms, each sorted — as ``(terms, ents,
+        bsts, must, msm)``: ``(term, is_should)`` pairs, their cached
+        entries and boosts (None: unboosted), whether must terms were
+        asked for, and how many should terms a match needs."""
         sterms = sorted({t for t in should_terms or () if self.owns_term(t)}
                         - set(qterms))
-        # scoring order == TAAT's: must terms, then should terms, each sorted
         terms = ([(t, False) for t in qterms if t in self.postings]
                  + [(t, True) for t in sterms if t in self.postings])
+        ents = [self._term_entry(t) for t, _ in terms]
+        bsts = [float(boosts[t]) if boosts and t in boosts else None
+                for t, _ in terms]
+        msm = max(min_should_match, 0 if qterms else 1) if should_terms else 0
+        return terms, ents, bsts, bool(qterms), msm
+
+    def _score(self, q, cand, allowed, after
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Score local ids ``cand`` (ascending; None: the whole local
+        range) under every term of clauses ``q`` (:meth:`_clauses`) and
+        return the matching ``(cand, scores)`` within ``allowed`` and
+        after the ``after`` cursor. Each term adds its weight, or +0.0,
+        to every candidate in term order — the oracle's sum, bit for bit:
+        a dense term by direct index, a sparse one by a ``searchsorted``
+        gather (a scatter when scoring the whole range)."""
+        terms, ents, bsts, must, msm = q
+        if not terms:
+            return np.empty(0, np.int64), np.empty(0)
+        whole = cand is None
+        if not whole and allowed is not None:
+            cand = cand[allowed[cand]]
+        n = self.n_local if whole else len(cand)
+        cs = np.zeros(n)
+        keep = np.zeros(n, bool) if must else np.ones(n, bool)
+        cnt = np.zeros(n, np.int32) if msm else None
+        for (_, is_should), (ids, w, _, _), b in zip(terms, ents, bsts):
+            if ids is None:
+                g = w if whole else w[cand]
+                hit = g > 0
+                cs += g if b is None else g * b
+            elif whole:
+                hit = np.zeros(n, bool)
+                hit[ids] = True
+                cs[ids] += w if b is None else w * b
+            else:
+                pos = ids.searchsorted(cand)
+                np.minimum(pos, len(ids) - 1, out=pos)
+                hit = ids[pos] == cand
+                cs += (w[pos] if b is None else w[pos] * b) * hit
+            if not is_should:
+                keep |= hit
+            elif cnt is not None:
+                cnt += hit
+        if cnt is not None:
+            keep &= cnt >= msm
+        if whole:
+            if allowed is not None:
+                keep &= allowed
+            cand = np.flatnonzero(keep)
+            cs = cs[cand]
+        else:
+            cand, cs = cand[keep], cs[keep]
+        if after is not None:
+            keep = self._after_mask(cand, cs, after)
+            cand, cs = cand[keep], cs[keep]
+        return cand, cs
+
+    def _matches(self, terms, allowed, boosts=None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Every doc matching any of ``terms`` within ``allowed``, as
+        ``(local ids ascending, BM25 scores)`` — the scored candidate set
+        before any top-k cut."""
+        qterms = sorted({t for t in terms if self.owns_term(t)})
+        return self._score(self._clauses(qterms, boosts=boosts), None,
+                           allowed, None)
+
+    def _all_hits(self, terms, filter=None) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_matches` of ``terms`` among the live docs matching
+        ``filter``, with GLOBAL doc ids."""
+        cand, cs = self._matches(terms, self._live_mask(filter))
+        return cand + self.doc_lo, cs
+
+    def _search_maxscore(self, qterms, k, allowed, should_terms=None,
+                         min_should_match=0, after=None, boosts=None,
+                         strategy="auto"):
+        """Exact term-level MaxScore top-k (module docstring). The
+        essential terms choose the candidates: the union of their postings,
+        or the whole local range — always for "taat", never for "wand",
+        and for "auto" exactly when an essential term is dense (its
+        postings already cover half the range, and a union would need a
+        sort). Scoring the whole range scores every match, so that round
+        needs no cut check."""
+        q = self._clauses(qterms, should_terms, min_should_match, boosts)
+        terms, ents, bsts = q[:3]
         if not terms:
             return []
-        msm = max(min_should_match, 0 if qterms else 1) if should_terms else 0
-        ents = [self._term_entry(t) for t, _ in terms]
-        bst = [float(boosts[t]) if boosts and t in boosts else None
-               for t, _ in terms]
-        ubs = [ub if b is None else ub * b for (_, _, ub), b in zip(ents, bst)]
+        ubs = [ub if b is None else ub * b for (_, _, ub, _), b in zip(ents, bsts)]
         # essential terms are a prefix of the highest-bound-first order;
         # rest[e] bounds the score of any doc outside the first e terms'
         # postings (summed smallest first, then the safety factor)
         order = sorted(range(len(terms)), key=lambda i: -ubs[i])
         rest = np.cumsum([0.0] + [ubs[i] for i in order[::-1]])[::-1] * _UB_SAFETY
-        lens = np.cumsum([len(ents[i][0]) for i in order])
+        lens = np.cumsum([ents[i][3] for i in order])
         # a k-th score needs k candidates: start with at least k postings
         n_ess = min(int(np.searchsorted(lens, k)) + 1, len(terms))
         while True:
-            if dense_ok and lens[n_ess - 1] > self.DENSE_FRAC * self.n_local:
-                return self._search_taat(qterms, k, allowed, should_terms,
-                                         min_should_match, after, boosts)
-            ess = [ents[i][0] for i in order[:n_ess]]
-            cand = ess[0] if n_ess == 1 else np.unique(np.concatenate(ess))
-            if allowed is not None:
-                cand = cand[allowed[cand]]
-            cs = np.zeros(len(cand))
-            keep = np.zeros(len(cand), bool) if qterms else np.ones(len(cand), bool)
-            cnt = np.zeros(len(cand), np.int32) if msm else None
-            for (_, is_should), (ids, w, _), b in zip(terms, ents, bst):
-                pos = ids.searchsorted(cand)
-                np.minimum(pos, len(ids) - 1, out=pos)
-                hit = ids[pos] == cand
-                # weight * hit is the weight or +0.0, and adding +0.0
-                # leaves every float unchanged
-                cs += (w[pos] if b is None else w[pos] * b) * hit
-                if not is_should:
-                    keep |= hit
-                elif cnt is not None:
-                    cnt += hit
-            if cnt is not None:
-                keep &= cnt >= msm
-            if after is not None:
-                keep &= self._after_mask(cand, cs, after)
-            cand, cs = cand[keep], cs[keep]
+            ess = [ents[i] for i in order[:n_ess]]
+            if strategy == "taat" or (
+                    strategy == "auto" and any(e[0] is None for e in ess)):
+                return self._topk(*self._score(q, None, allowed, after), k)
+            ids = [self._sparse(e)[0] for e in ess]
+            cand = ids[0] if n_ess == 1 else np.unique(np.concatenate(ids))
+            cand, cs = self._score(q, cand, allowed, after)
             if n_ess == len(terms):
                 return self._topk(cand, cs, k)
             if len(cs) < k:  # no k-th score yet: double the essential set
@@ -1260,11 +1259,12 @@ class Searcher:
         boosts: dict[str, float] | None = None,
         min_score: float | None = None,
     ) -> list[dict]:
-        """Exact top-k BM25. ``strategy``: "auto" (term-level MaxScore
-        over cached impacts, falling back to dense term-at-a-time scoring
-        when the essential postings cover a large share of the doc
-        space), "wand" (always the pruned MaxScore path) or "taat" (always
-        dense). All three are rank- and score-identical to the oracle.
+        """Exact top-k BM25 by term-level MaxScore over cached impacts.
+        ``strategy`` picks the candidate set of each round: "auto" scores
+        the essential terms' posting union, or the whole local range once
+        a dense term is essential; "wand" always the union; "taat" always
+        the whole range. All three are rank- and score-identical to the
+        oracle.
 
         ``after=(score, doc_id)`` returns the k docs strictly AFTER that
         cursor in (score desc, doc_id asc) order — ES ``search_after``
@@ -1296,16 +1296,8 @@ class Searcher:
 
         if strategy not in ("auto", "taat", "wand"):
             raise ValueError(f"unknown strategy {strategy!r}: auto|taat|wand")
-        if strategy == "taat":
-            hits = self._search_taat(qterms, k, allowed, should_terms,
-                                     min_should_match, after, boosts)
-        else:
-            # gate on the LOCAL doc count: a doc-range shard of a huge
-            # index sizes its dense accumulators n_local
-            hits = self._search_maxscore(
-                qterms, k, allowed, should_terms, min_should_match, after,
-                boosts, dense_ok=(strategy == "auto"
-                                  and self.n_local <= self.TAAT_MAX_DOCS))
+        hits = self._search_maxscore(qterms, k, allowed, should_terms,
+                                     min_should_match, after, boosts, strategy)
         return self._format(self._min_score_cut(hits, min_score), decorate)
 
     @staticmethod
@@ -1666,7 +1658,7 @@ class Searcher:
         """ES ``boosting`` query: positive BM25 hits whose docs also match
         the ``negative`` filter-DSL clause are demoted by
         ``negative_boost`` (0 < nb < 1) — they stay in the result set,
-        just ranked down. Exact: full TAAT candidate scoring, then the
+        just ranked down. Exact: every match is scored, then the
         demotion factor, then (score desc, doc_id asc) top-k."""
         if not (0.0 < float(negative_boost) < 1.0):
             raise ValueError(
@@ -1674,13 +1666,10 @@ class Searcher:
             )
         if k <= 0:
             return []
-        all_hits = self.search(terms, k=self.n_local, filter=filter,
-                               strategy="taat")
-        if not all_hits:
+        ids, s = self._all_hits(terms, filter)
+        if len(ids) == 0:
             return []
         neg = self.filter_mask(negative)
-        ids = np.array([h["doc_id"] for h in all_hits], dtype=np.int64)
-        s = np.array([h["score"] for h in all_hits], dtype=np.float64)
         demote = neg[ids - self.doc_lo]
         s = np.where(demote, s * float(negative_boost), s)
         order = np.lexsort((ids, -s))[: min(k, len(ids))]
@@ -1704,6 +1693,8 @@ class Searcher:
             return []
         organic = self.search(terms, k=k + len(pinned), filter=filter)
         qterms = sorted({t for t in terms if self.owns_term(t)})
+        contribs = [self._term_contribution(t) for t in qterms
+                    if t in self.postings]
         pin_set = set()
         out: list[tuple[int, float]] = []
         for d in pinned:
@@ -1717,10 +1708,7 @@ class Searcher:
             # rank far below the organic top-k): per-term contribution
             # lookups in sorted-term order — float-identical to search
             s = 0.0
-            for t in qterms:
-                if t not in self.postings:
-                    continue
-                tids, w = self._term_contribution(t)
+            for tids, w in contribs:
                 pos = int(np.searchsorted(tids, local))
                 if pos < len(tids) and tids[pos] == local:
                     s += float(w[pos])
@@ -1744,7 +1732,7 @@ class Searcher:
         best_fields): each sub-query is BM25-scored independently; a doc's
         combined score is its BEST sub-query score plus ``tie_breaker``
         times the sum of its other matching sub-queries' scores. Exact:
-        full TAAT candidate scoring per sub-query into dense local
+        every match of each sub-query is scored into dense local
         accumulators (same per-shard cost envelope as ``search_boosting``),
         then (score desc, doc_id asc) top-k."""
         if not (0.0 <= float(tie_breaker) <= 1.0):
@@ -1756,17 +1744,9 @@ class Searcher:
         best = np.zeros(self.n_local, dtype=np.float64)
         total = np.zeros(self.n_local, dtype=np.float64)
         seen = np.zeros(self.n_local, dtype=bool)
+        allowed = self._live_mask(filter)
         for terms in queries:
-            hits = self.search(terms, k=self.n_local, filter=filter,
-                               strategy="taat")
-            if not hits:
-                continue
-            loc = np.fromiter(
-                (h["doc_id"] for h in hits), dtype=np.int64, count=len(hits)
-            ) - self.doc_lo
-            sc = np.fromiter(
-                (h["score"] for h in hits), dtype=np.float64, count=len(hits)
-            )
+            loc, sc = self._matches(terms, allowed)
             np.maximum.at(best, loc, sc)
             total[loc] += sc
             seen[loc] = True
@@ -1914,7 +1894,7 @@ class Searcher:
         ``final = bm25 * exp(-(|attr - origin|^2) / (2*sigma^2))`` with
         ``sigma^2 = scale^2 / (2*ln(1/decay))`` (the ES parameterization —
         a doc at distance ``scale`` from ``origin`` scores ``decay`` of
-        its BM25). Exact: every candidate is TAAT-scored, then decayed and
+        its BM25). Exact: every match is scored, then decayed and
         reranked (combined desc, doc_id asc); decay can promote low-BM25
         docs, so the full candidate set is enumerated — at 10^9 docs use
         the multiply-mode MaxScore bound instead (decay <= 1 keeps the BM25
@@ -1929,12 +1909,9 @@ class Searcher:
             raise ValueError(f"scale must be > 0, got {scale}")
         sigma2 = (float(scale) ** 2) / (2.0 * math.log(1.0 / float(decay)))
         v = np.asarray(self._attr(decay_attr), dtype=np.float64)
-        all_hits = self.search(terms, k=self.n_local, filter=filter,
-                               strategy="taat")
-        if not all_hits:
+        ids, s = self._all_hits(terms, filter)
+        if len(ids) == 0:
             return []
-        ids = np.array([h["doc_id"] for h in all_hits], dtype=np.int64)
-        s = np.array([h["score"] for h in all_hits], dtype=np.float64)
         dv = v[ids - self.doc_lo]
         factor = np.exp(-(np.abs(dv - float(origin)) ** 2) / (2.0 * sigma2))
         final = s * factor
@@ -2029,12 +2006,9 @@ class Searcher:
         should use :meth:`function_score`. Requires ``load_docs=True``."""
         if k <= 0:
             return []
-        all_hits = self.search(terms, k=self.n_local, filter=filter,
-                               strategy="taat")
-        if not all_hits:
+        ids, base = self._all_hits(terms, filter)
+        if len(ids) == 0:
             return []
-        ids = np.array([h["doc_id"] for h in all_hits], dtype=np.int64)
-        base = np.array([h["score"] for h in all_hits], dtype=np.float64)
         li = ids - self.doc_lo
         n = len(ids)
         masks, vals, weights = [], [], []
@@ -2125,7 +2099,7 @@ class Searcher:
         "boost-by-pagerank/freshness/length" pattern. Additive, unlike
         :meth:`function_score`'s multiplier, exactly as ES composes a
         rank_feature clause inside bool.should. Exact: the full BM25
-        candidate set is TAAT-scored then re-ranked (the additive bound
+        candidate set is scored then re-ranked (the additive bound
         bm25_ub + boost keeps MaxScore viable at 10^9 docs; this
         implementation enumerates candidates). Negative feature values
         clamp to 0 (ES requires non-negative features). Requires
@@ -2144,12 +2118,9 @@ class Searcher:
         if not float(boost) > 0.0:
             raise ValueError(f"boost must be > 0, got {boost}")
         v = np.asarray(self._attr(feature_attr), dtype=np.float64)
-        all_hits = self.search(terms, k=self.n_local, filter=filter,
-                               strategy="taat")
-        if not all_hits:
+        ids, s = self._all_hits(terms, filter)
+        if len(ids) == 0:
             return []
-        ids = np.array([h["doc_id"] for h in all_hits], dtype=np.int64)
-        s = np.array([h["score"] for h in all_hits], dtype=np.float64)
         # a missing sidecar attr is NaN — ES treats missing rank_feature
         # values as zero contribution, so clamp NaN to 0 before saturating
         x = np.maximum(np.nan_to_num(v[ids - self.doc_lo]), 0.0)
@@ -2184,7 +2155,7 @@ class Searcher:
         ``boost * pivot / (pivot + |x - origin|)`` where ``x`` is the
         doc's attr value. A missing value (NaN) contributes 0 — ES skips
         docs without the field. Exact like :meth:`search_rank_feature`:
-        the full candidate set is TAAT-scored then re-ranked (the
+        the full candidate set is scored then re-ranked (the
         additive bound bm25_ub + boost keeps MaxScore viable at scale).
         Requires ``load_docs=True``."""
         if k <= 0:
@@ -2194,12 +2165,9 @@ class Searcher:
         if not float(boost) > 0.0:
             raise ValueError(f"boost must be > 0, got {boost}")
         v = np.asarray(self._attr(feature_attr), dtype=np.float64)
-        all_hits = self.search(terms, k=self.n_local, filter=filter,
-                               strategy="taat")
-        if not all_hits:
+        ids, s = self._all_hits(terms, filter)
+        if len(ids) == 0:
             return []
-        ids = np.array([h["doc_id"] for h in all_hits], dtype=np.int64)
-        s = np.array([h["score"] for h in all_hits], dtype=np.float64)
         x = v[ids - self.doc_lo]
         contrib = float(boost) * float(pivot) / (
             float(pivot) + np.abs(x - float(origin)))
@@ -2482,38 +2450,28 @@ class Searcher:
         ``collapse`` doc attribute — the code-search "one result per repo"
         UX (ES ``collapse`` on the reference's keyword fields).
 
-        Exact: scores every candidate (TAAT), takes the per-group argmax,
+        Exact: scores every match, takes the per-group argmax,
         then the global (score desc, doc_id asc) top-k of the group
         winners. Requires ``load_docs=True``.
         """
         if k <= 0:
             return []
         codes, _ = self._attr_codes(collapse)
-        qterms = sorted({t for t in terms if self.owns_term(t)})
         allowed = self._live_mask(filter)
         self._check_boosts(boosts)
-        scores, matched, touched = self._taat_accumulate(qterms, boosts)
-        try:
-            cand = np.flatnonzero(matched)
-            if allowed is not None:
-                cand = cand[allowed[cand]]
-            if len(cand) == 0:
-                return []
-            # per-group winner: sort candidates best-first, keep the first
-            # occurrence of each collapse value's code (docs without a
-            # value, code -1, form one group)
-            order = np.lexsort((cand, -scores[cand]))
-            sc = cand[order]
-            _, first_idx = np.unique(codes[sc], return_index=True)
-            winners = sc[np.sort(first_idx)][:k]
-            lo = self.doc_lo
-            return self._format(
-                [(int(d) + lo, float(scores[d])) for d in winners], decorate
-            )
-        finally:
-            for ids in touched:
-                scores[ids] = 0.0
-                matched[ids] = False
+        cand, cs = self._matches(terms, allowed, boosts)
+        if len(cand) == 0:
+            return []
+        # per-group winner: sort candidates best-first, keep the first
+        # occurrence of each collapse value's code (docs without a
+        # value, code -1, form one group)
+        order = np.lexsort((cand, -cs))
+        _, first_idx = np.unique(codes[cand[order]], return_index=True)
+        winners = order[np.sort(first_idx)][:k]
+        lo = self.doc_lo
+        return self._format(
+            [(int(cand[i]) + lo, float(cs[i])) for i in winners], decorate
+        )
 
     def sort_by_attr(
         self,
@@ -2664,53 +2622,46 @@ class Searcher:
         buckets of ``group_attr`` over the query's matches, ordered
         (matched-doc count desc, value asc), keeping the top ``n_hits``
         hits per bucket by (score desc, doc_id asc) — the "best N results
-        per repo/lang" code-search UX. Exact: TAAT-scores every candidate.
+        per repo/lang" code-search UX. Exact: scores every match.
         Rows: {group, doc_count, doc_id, score, hit_rank}. Requires
         ``load_docs=True``."""
         if k_groups <= 0 or n_hits <= 0:
             return []
         codes, cats = self._attr_codes(group_attr)
-        qterms = sorted({t for t in terms if self.owns_term(t)})
         allowed = self._live_mask(filter)
         self._check_boosts(boosts)
-        scores, matched, touched = self._taat_accumulate(qterms, boosts)
-        try:
-            cand = np.flatnonzero(matched)
-            if allowed is not None:
-                cand = cand[allowed[cand]]
-            if len(cand) == 0:
-                return []
-            order = np.lexsort((cand, -scores[cand]))  # best-first global
-            sc = cand[order]
-            sc = sc[codes[sc] >= 0]  # docs without a value join no bucket
-            ucodes, inv, cnts = np.unique(
-                codes[sc], return_inverse=True, return_counts=True
-            )
-            # codes ascend with their values: stable count-desc sort
-            # leaves ties in value order
-            top_buckets = np.argsort(-cnts, kind="stable")[:k_groups]
-            # rank within group: stable grouping preserves best-first order
-            g_order = np.argsort(inv, kind="stable")
-            grp_sorted = inv[g_order]
-            first = np.r_[0, np.flatnonzero(np.diff(grp_sorted)) + 1]
-            sizes = np.diff(np.r_[first, len(g_order)])
-            ranks = np.empty(len(g_order), dtype=np.int64)
-            ranks[g_order] = np.arange(len(g_order)) - np.repeat(first, sizes)
-            lo = self.doc_lo
-            out = []
-            for b in top_buckets:
-                in_b = np.flatnonzero((inv == b) & (ranks < n_hits))
-                for i in in_b:  # in_b ascending == best-first within bucket
-                    out.append({
-                        "group": str(cats[ucodes[b]]),
-                        "doc_count": int(cnts[b]),
-                        "doc_id": int(sc[i]) + lo,
-                        "score": float(scores[sc[i]]),
-                        "hit_rank": int(ranks[i]) + 1,
-                    })
-            return out
-        finally:
-            self._taat_reset(touched)
+        cand, cs = self._matches(terms, allowed, boosts)
+        if len(cand) == 0:
+            return []
+        order = np.lexsort((cand, -cs))  # best-first global
+        order = order[codes[cand[order]] >= 0]  # no value: no bucket
+        sc, ss = cand[order], cs[order]
+        ucodes, inv, cnts = np.unique(
+            codes[sc], return_inverse=True, return_counts=True
+        )
+        # codes ascend with their values: stable count-desc sort
+        # leaves ties in value order
+        top_buckets = np.argsort(-cnts, kind="stable")[:k_groups]
+        # rank within group: stable grouping preserves best-first order
+        g_order = np.argsort(inv, kind="stable")
+        grp_sorted = inv[g_order]
+        first = np.r_[0, np.flatnonzero(np.diff(grp_sorted)) + 1]
+        sizes = np.diff(np.r_[first, len(g_order)])
+        ranks = np.empty(len(g_order), dtype=np.int64)
+        ranks[g_order] = np.arange(len(g_order)) - np.repeat(first, sizes)
+        lo = self.doc_lo
+        out = []
+        for b in top_buckets:
+            in_b = np.flatnonzero((inv == b) & (ranks < n_hits))
+            for i in in_b:  # in_b ascending == best-first within bucket
+                out.append({
+                    "group": str(cats[ucodes[b]]),
+                    "doc_count": int(cnts[b]),
+                    "doc_id": int(sc[i]) + lo,
+                    "score": float(ss[i]),
+                    "hit_rank": int(ranks[i]) + 1,
+                })
+        return out
 
     def more_like_this(
         self,

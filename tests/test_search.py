@@ -1957,3 +1957,303 @@ def test_coded_attrs_match_object_reference(maxscore_env, variant, tmp_path):
                     h["hit_rank"])
                    for h in s.search_top_hits(q, attr, n_hits=2, k_groups=4)]
             assert got == want, (q, attr)
+
+
+# ------------------------------------------------------- dense term entries
+
+DENSE_VARIANTS = ["single", "range", "deleted"]
+STRATEGIES = ("auto", "wand", "taat")
+
+
+@pytest.fixture(scope="module")
+def dense_env(maxscore_env, tmp_path_factory):
+    """``maxscore_env`` plus a copy of its base + appended index with
+    docs 100-199 (base) and 500-599 (appended segment) tombstoned by two
+    ``delete_by_query`` calls, and every term's per-doc BM25 weight."""
+    import shutil
+
+    from astrologer_ray.pipelines.segments import delete_by_query
+
+    idx = str(tmp_path_factory.mktemp("dense") / "deleted")
+    shutil.copytree(maxscore_env["two_gen"], idx)
+    for prefix in ("r001", "r005"):
+        assert delete_by_query(idx, {"attr_prefix": {"repo": prefix}})["deleted"] == 100
+    return dict(maxscore_env, deleted=idx,
+                weights=_oracle_weights(maxscore_env["contents"]))
+
+
+def _oracle_weights(contents) -> dict:
+    """term -> per-doc BM25 weight (0.0 where absent): oracle_topk's own
+    computation done once for every term, spot-checked against it."""
+    from astrologer_ray import B, K1
+    from astrologer_ray.functions.tokenizer import token_counts
+    from astrologer_ray.state.bm25 import bm25_term_weight, idf
+
+    counters = [token_counts(c, mode="code") for c in contents]
+    dls = np.array([sum(c.values()) for c in counters], dtype=np.float64)
+    avgdl = float(dls.sum() / len(contents))
+    weights = {}
+    for t in sorted({t for c in counters for t in c}):
+        tf = np.array([c.get(t, 0) for c in counters], dtype=np.float64)
+        has = tf > 0
+        w = np.zeros(len(contents))
+        w[has] = bm25_term_weight(idf(len(contents), int(has.sum())),
+                                  tf[has], dls[has], avgdl, K1, B)
+        weights[t] = w
+    for t in list(weights)[::40]:
+        want = oracle_topk(contents, [t], k=len(contents))
+        assert [(int(d), float(weights[t][d])) for d, _ in want] == want, t
+    return weights
+
+
+def _dense_case(env, variant):
+    """``(searcher, allowed)``: ``allowed`` marks the global doc ids a
+    search may return (inside the doc range, not tombstoned)."""
+    s = (Searcher(env["deleted"]) if variant == "deleted"
+         else _maxscore_searcher(env, variant))
+    allowed = np.zeros(len(env["contents"]), dtype=bool)
+    allowed[s.doc_lo:s.doc_hi] = True
+    if variant == "deleted":
+        assert len(s.deleted) == 200
+        allowed[s.deleted] = False
+    return s, allowed
+
+
+def _ref_hits(weights, must, should=None, msm=0, boosts=None,
+              allowed=None, after=None):
+    """Brute-force bool query ranked (score desc, doc_id asc): per-term
+    oracle weights (times the boost) summed must terms first, then the
+    remaining should terms, each sorted."""
+    n = len(next(iter(weights.values())))
+    must = sorted(set(must))
+    sterms = sorted(set(should or ()) - set(must))
+    score = np.zeros(n)
+    hit = np.zeros(n, dtype=bool)
+    cnt = np.zeros(n, dtype=np.int64)
+    for t in must + sterms:
+        w = weights.get(t, np.zeros(n))
+        if boosts and t in boosts:
+            w = w * float(boosts[t])
+        score += w
+        if t in must:
+            hit |= w > 0
+        else:
+            cnt += w > 0
+    keep = hit if must or not should else np.ones(n, dtype=bool)
+    if should:
+        keep &= cnt >= max(msm, 0 if must else 1)
+    if allowed is not None:
+        keep &= allowed
+    if after is not None:
+        keep &= (score < after[0]) | ((score == after[0])
+                                      & (np.arange(n) > after[1]))
+    ids = np.flatnonzero(keep)
+    order = np.lexsort((ids, -score[ids]))
+    return [(int(ids[i]), float(score[ids[i]])) for i in order]
+
+
+def _dense_split(s, weights):
+    """The searcher's terms split by LOCAL df into those held dense
+    (2 * df >= n_local) and sparse, each by descending global df; and the
+    local df map."""
+    vocab = sorted(s.df, key=lambda t: (-s.df[t], t))
+    df = {t: int((weights[t][s.doc_lo:s.doc_hi] > 0).sum()) for t in vocab}
+    dense = [t for t in vocab if 2 * df[t] >= s.n_local]
+    sparse = [t for t in vocab if 0 < 2 * df[t] < s.n_local]
+    return dense, sparse, df
+
+
+@pytest.mark.parametrize("variant", DENSE_VARIANTS)
+def test_dense_entries_match_oracle(dense_env, variant, monkeypatch):
+    """Head terms (local df >= n_local / 2) are held as one dense weight
+    vector and everything else sparse; queries with dense terms in
+    essential and non-essential positions, all-dense queries, boosts,
+    should / minimum_should_match, search_after and filters give exactly
+    oracle_topk's (doc_id, score) under every strategy, on a single build,
+    a doc-range shard (doc_lo = 64) and a base + appended segment with
+    tombstones."""
+    contents, weights = dense_env["contents"], dense_env["weights"]
+    s, allowed = _dense_case(dense_env, variant)
+    dense, sparse, df = _dense_split(s, weights)
+    assert len(dense) >= 5 and len(sparse) >= 20
+    rare, mid = sparse[-1], sparse[len(sparse) // 2]
+
+    # which candidate regime each scoring round used, per strategy
+    seen: set = set()
+    score = s._score
+
+    def spy(q, cand, allowed_, after):
+        has_dense = any(e[0] is None for e in q[1])
+        seen.add("whole" if cand is None else
+                 "union+dense" if has_dense else "union")
+        return score(q, cand, allowed_, after)
+
+    monkeypatch.setattr(s, "_score", spy)
+    regimes = {st: set() for st in STRATEGIES}
+
+    def check(st, got, want, what):
+        assert got == want, f"[{variant}/{st}] {what}"
+        regimes[st] |= seen
+        if st == "taat":
+            assert seen <= {"whole"}, what
+        elif st == "wand":
+            assert "whole" not in seen, what
+        seen.clear()
+
+    vocab = dense + sparse
+    p = 1.0 / np.arange(1, len(vocab) + 1) ** 1.1
+    rng = np.random.default_rng(31)
+    queries = [dense[:1], dense[:3], dense[:6], [rare, dense[0]],
+               [mid, dense[0], dense[1]], [rare, mid] + dense[:2],
+               [dense[0], "zz-absent"]]
+    queries += [list(rng.choice(vocab, size=int(rng.integers(1, 6)),
+                                p=p / p.sum())) for _ in range(12)]
+    for i, q in enumerate(queries):
+        for boosts in (None, {q[0]: 2.5, q[-1]: 0.5}):
+            ranked = _ref_hits(weights, q, boosts=boosts, allowed=allowed)
+            if i < 3:
+                assert ranked == oracle_topk(contents, q, k=len(contents),
+                                             allowed=allowed, boosts=boosts)
+            for k in (1, 10, s.n_local):
+                for st in STRATEGIES:
+                    got = _pairs(s.search(q, k=k, strategy=st, boosts=boosts))
+                    check(st, got, ranked[:k], (q, boosts, k))
+
+    langs = np.array([["py", "go", "rs"][i % 3] for i in range(len(contents))])
+    for _ in range(30):
+        must = list(rng.choice(vocab, size=int(rng.integers(0, 4)), p=p / p.sum()))
+        should = list(rng.choice(vocab, size=int(rng.integers(0, 4)), p=p / p.sum()))
+        msm = int(rng.integers(0, 3))
+        boosts = {t: float(rng.choice([0.5, 2.5])) for t in must + should
+                  if rng.random() < 0.5} or None
+        filt = {"term": {"lang": "py"}} if rng.random() < 0.4 else None
+        allow = allowed & (langs == "py") if filt else allowed
+        ranked = _ref_hits(weights, must, should, msm, boosts, allow)
+        kw = dict(should_terms=should, min_should_match=msm, boosts=boosts,
+                  filter=filt)
+        for k in (1, 10, s.n_local):
+            for st in STRATEGIES:
+                got = _pairs(s.search(must, k=k, strategy=st, **kw))
+                check(st, got, ranked[:k], (must, kw, k))
+        if len(ranked) > 1:
+            after = ranked[len(ranked) // 2][::-1]
+            want = _ref_hits(weights, must, should, msm, boosts, allow,
+                             after=after)
+            for st in STRATEGIES:
+                got = _pairs(s.search(must, k=10, strategy=st, after=after, **kw))
+                check(st, got, want[:10], (must, kw, after))
+
+    # every regime ran: auto took the whole range once a dense term was
+    # essential and gathered dense terms by direct index otherwise
+    assert regimes["auto"] >= {"whole", "union", "union+dense"}
+    assert "union+dense" in regimes["wand"]
+    for t in vocab:
+        ids, w, ub, n = s._term_entry(t)
+        assert n == df[t], t
+        if t in dense:
+            assert ids is None and len(w) == s.n_local and ub == w.max(), t
+        else:
+            assert ids is not None and len(ids) == len(w) == n, t
+
+
+@pytest.mark.parametrize("chunks", [(0, 3), (2, 3)])
+def test_dense_threshold_is_inclusive(dense_env, chunks):
+    """A term in exactly half the local docs — the memory break-even
+    point — is held dense, and searches over it stay exact. Doc-range
+    shards (64-doc chunks) of the single build where such terms exist."""
+    weights = dense_env["weights"]
+    s = Searcher(dense_env["single"], chunk_range=chunks)
+    allowed = np.zeros(len(dense_env["contents"]), dtype=bool)
+    allowed[s.doc_lo:s.doc_hi] = True
+    dense, sparse, df = _dense_split(s, weights)
+    edge = [t for t in dense if 2 * df[t] == s.n_local]
+    assert edge
+    for t in dense + sparse:
+        assert (s._term_entry(t)[0] is None) == (t in dense), t
+    for q in ([edge[0]], edge + sparse[-2:], [sparse[0], edge[0]]):
+        ranked = _ref_hits(weights, q, allowed=allowed)
+        for k in (1, 10, s.n_local):
+            for st in STRATEGIES:
+                assert _pairs(s.search(q, k=k, strategy=st)) == ranked[:k]
+
+
+@pytest.mark.parametrize("variant", DENSE_VARIANTS)
+def test_dense_collapse_and_top_hits_match_reference(dense_env, variant):
+    """search_collapse and search_top_hits over queries with dense head
+    terms (plus boosts and a filter) equal the per-group reference built
+    from oracle scores."""
+    weights = dense_env["weights"]
+    s, allowed = _dense_case(dense_env, variant)
+    dense, sparse, _ = _dense_split(s, weights)
+    rare, mid = sparse[-1], sparse[len(sparse) // 2]
+    n = len(dense_env["contents"])
+    cols = {"lang": np.array([["py", "go", "rs"][i % 3] for i in range(n)]),
+            "repo": np.array([f"r{i:05d}" for i in range(n)])}
+    for q, boosts, filt in [
+        (dense[:2], None, None),
+        ([rare, dense[0]], {dense[0]: 2.5}, None),
+        (dense[:3] + [mid], {mid: 0.5}, {"term": {"lang": "py"}}),
+    ]:
+        allow = allowed & (cols["lang"] == "py") if filt else allowed
+        ranked = _ref_hits(weights, q, boosts=boosts, allowed=allow)
+        assert ranked
+        for attr, col in cols.items():
+            firsts, want = set(), []
+            for d, sc in ranked:
+                if col[d] not in firsts:
+                    firsts.add(col[d])
+                    want.append((d, sc))
+            got = _pairs(s.search_collapse(q, collapse=attr, k=5,
+                                           filter=filt, boosts=boosts))
+            assert got == want[:5], (q, attr)
+            groups = _ranked_counts([col[d] for d, _ in ranked])
+            want = [(g, c, d, sc, r + 1) for g, c in groups[:4]
+                    for r, (d, sc) in enumerate(
+                        [h for h in ranked if col[h[0]] == g][:2])]
+            got = [(h["group"], h["doc_count"], h["doc_id"], h["score"],
+                    h["hit_rank"])
+                   for h in s.search_top_hits(q, attr, n_hits=2, k_groups=4,
+                                              filter=filt, boosts=boosts)]
+            assert got == want, (q, attr)
+
+
+def test_dense_entry_rejects_nonpositive_weights(maxscore_env, monkeypatch):
+    """A dense entry's ``w > 0`` hit test needs every posting weight
+    positive: building one from a zero or negative weight raises instead
+    of silently dropping matches."""
+    import astrologer_ray.state.searcher as searcher_mod
+
+    real = searcher_mod.bm25_term_weight
+    for bad in (lambda w: w * 0.0, lambda w: -w):
+        monkeypatch.setattr(searcher_mod, "bm25_term_weight",
+                            lambda *a, bad=bad: bad(real(*a)))
+        s = Searcher(maxscore_env["single"], load_docs=False)
+        vocab = sorted(s.df, key=lambda t: (-s.df[t], t))
+        assert 2 * s.df[vocab[0]] >= s.n_local
+        with pytest.raises(ValueError, match="<= 0"):
+            s.search([vocab[0]])
+
+
+@pytest.mark.parametrize("cap_frac", [0.5, 1.5])
+def test_mixed_lru_accounting(dense_env, cap_frac, monkeypatch):
+    """With the impacts cache shrunk below n_local (no dense entry fits)
+    and just above it (one dense entry at a time), a mixed dense / sparse
+    query stream stays exact and the cache's value count always equals
+    the sum of its entries' sizes, within the cap."""
+    weights = dense_env["weights"]
+    s, allowed = _dense_case(dense_env, "range")
+    cap = int(cap_frac * s.n_local)
+    monkeypatch.setattr(s, "TAAT_CACHE_VALS", cap)
+    dense, sparse, _ = _dense_split(s, weights)
+    rng = np.random.default_rng(37)
+    dense_cached = False
+    for _ in range(40):
+        q = (list(rng.choice(dense, size=int(rng.integers(0, 3))))
+             + list(rng.choice(sparse, size=int(rng.integers(1, 4)))))
+        want = _ref_hits(weights, q, allowed=allowed)[:10]
+        for st in STRATEGIES:
+            assert _pairs(s.search(q, k=10, strategy=st)) == want, (q, st)
+            sizes = [len(e[1]) for e in s._taat_cache.values()]
+            assert s._taat_cache_vals == sum(sizes) <= cap
+            dense_cached |= any(e[0] is None for e in s._taat_cache.values())
+    assert dense_cached == (cap >= s.n_local)
