@@ -44,7 +44,8 @@ methods — this module adds translation, not retrieval):
   ``collapse`` (one hit per distinct value of a doc attribute),
   ``rescore`` (match_phrase proximity rerank of the top-window BM25
   hits, query_weight=1.0), ``sort`` (single or MULTI field with
-  per-key order and the row-value search_after cursor; explicit
+  per-key order and the row-value search_after cursor, over exactly
+  the query's matches; explicit
   per-clause match ``boost`` multiplies that clause's BM25
   contribution), ``knn`` (exact cosine
   over a vector doc attribute; combined with ``query`` the two legs'
@@ -134,6 +135,20 @@ in FILTER context (score 1.0 via constant_score when they stand alone)
 — the standard ES practice of wrapping exact-value queries in filters.
 Response is ES-shaped: ``hits.total.value``, ``hits.hits[]._id/_score``,
 ``aggregations.<name>.buckets``.
+
+Translation: a query becomes a :class:`_Translated` — plain match terms
+(must / should / msm / per-term boosts), filter-context clauses, and at
+most one scorer :class:`_Node` for any other kind. Only the kind's own
+``_translate`` branch names it; the node carries the Searcher call that
+ranks it, how ``hits.total`` counts it and the should-clauses it adds to
+the agg scope, so the dispatchers (``_run_hits``, ``_matched``,
+``_agg_scope_filter``, ``_is_plain_match``, ``execute_explain``) name no
+kind. Nodes do not compose yet: a second node, a standalone node
+(phrase / span / prefix / dis_max / constant_score) beside scored terms,
+and a reranking node (pinned / boosting / function_score / script_score
+/ rank_feature / distance_feature) without must terms or with should
+terms are refused with ``NotImplementedError``. A field ``sort`` orders
+exactly the docs ``hits.total`` counts.
 """
 
 from __future__ import annotations
@@ -162,27 +177,17 @@ def _text_of(arg) -> str:
 
 
 class _Translated:
+    """A translated query: the plain match terms and filters every
+    dispatcher runs, plus at most one scorer ``node`` for any other
+    query kind."""
+
     def __init__(self):
         self.terms: list[str] = []          # scoring must terms
         self.should_terms: list[str] = []   # scoring should terms
         self.msm: int = 0
-        self.filters: list[dict] = []       # filter-context clauses
-        self.phrase: list[str] | None = None
-        self.dis_max: dict | None = None
-        self.const: dict | None = None      # {"filter":..., "boost":...}
-        self.rank_feature: dict | None = None  # {"field","pivot","boost"}
-        self.span_near: dict | None = None     # {"terms", "slop"}
-        self.span_first: dict | None = None    # {"term", "end"}
-        self.span_not: dict | None = None      # {"include","exclude","pre","post"}
-        self.span_cont: dict | None = None     # {"big","little","slop","score"}
-        self.gauss: dict | None = None  # {"attr","origin","scale","decay"}
-        self.fscore: dict | None = None  # general function_score form
         self.boosts: dict[str, float] = {}  # per-term clause boosts
-        self.boosting: dict | None = None  # {"negative","negative_boost"}
-        self.phrase_prefix: dict | None = None  # {"terms","max_expansions"}
-        self.pinned: list[int] | None = None    # pinned doc ids, in order
-        self.bool_prefix: dict | None = None    # {"terms","max_expansions"}
-        self.distance_feature: dict | None = None  # {"field","origin",...}
+        self.filters: list[dict] = []       # filter-context clauses
+        self.node: _Node | None = None
 
     @property
     def filter(self):
@@ -191,6 +196,62 @@ class _Translated:
         if len(self.filters) == 1:
             return self.filters[0]
         return {"bool": {"must": self.filters}}
+
+
+class _Node:
+    """One scorer node: what the dispatchers need to know of a query kind
+    that is neither a plain match nor a filter. Only the kind's own
+    ``_translate`` branch builds one.
+
+    - ``rank(s, k, filter)``: the Searcher call that ranks it.
+    - ``total``: how ``hits.total`` counts it. "rank" runs ``rank`` at
+      ``k = n_local`` (the exact predicate, which the scope would
+      overcount); "scope" counts the agg scope, and the ``pins`` ids
+      (pinned) as matches beside it.
+    - ``scope`` / ``also``: the should-clauses it adds to the agg scope,
+      a ``match`` per scope term, then the ``also`` clauses.
+    - ``rerank``: it re-ranks the must terms' matches (pinned, boosting,
+      function_score, script_score, rank_feature, distance_feature), so
+      it needs must terms and takes no should terms. Every other node
+      stands alone (phrase, span, prefix, dis_max, constant_score) and
+      takes no scored terms beside it."""
+
+    def __init__(self, kind: str, rank, total: str = "scope", scope=(),
+                 also=(), pins: list[int] | None = None,
+                 rerank: bool = False):
+        self.kind, self.rank, self.total = kind, rank, total
+        self.scope, self.also = list(scope), list(also)
+        self.pins, self.rerank = pins, rerank
+
+
+def _put(t: _Translated, node: _Node) -> None:
+    """Give ``t`` its scorer node. A second one is refused: nodes do not
+    compose yet, so the first would have to drop it."""
+    if t.node is not None:
+        raise NotImplementedError(
+            f"{t.node.kind} and {node.kind} in one query: one scoring "
+            "query kind per request is supported")
+    t.node = node
+
+
+def _phrase_node(toks: list[str]) -> _Node:
+    return _Node("match_phrase",
+                 lambda s, k, f: s.phrase_search(toks, k=k, filter=f),
+                 "rank", toks)
+
+
+def _span_near_node(kind: str, toks: list[str], slop: int) -> _Node:
+    return _Node(kind, lambda s, k, f: s.span_near(toks, slop=slop, k=k,
+                                                   filter=f),
+                 "rank", toks)
+
+
+def _rerank_node(kind: str, inner: _Translated, method: str,
+                 **kw) -> _Node:
+    """A node re-ranking ``inner``'s must-term matches with the Searcher
+    ``method`` (extra keyword arguments ``kw``)."""
+    return _Node(kind, lambda s, k, f: getattr(s, method)(
+        inner.terms, k=k, filter=f, **kw), rerank=True)
 
 
 def _attr_exists(s, name: str) -> bool:
@@ -295,6 +356,24 @@ def _note_boost(t: _Translated, toks: list[str], v) -> None:
 
 
 def _translate(s, q: dict) -> _Translated:
+    """Translate a request's ``query``. The compositions one scorer node
+    cannot serve are refused here, where translation ends (a second node
+    is refused by :func:`_put`): a standalone node beside scored terms,
+    and a reranking node without must terms or with should terms."""
+    t = _translate_query(s, q)
+    n = t.node
+    if n is not None and not n.rerank and (t.terms or t.should_terms):
+        raise NotImplementedError(
+            f"{n.kind} beside scored match terms in one query is not "
+            "supported — split it into separate requests")
+    if n is not None and n.rerank and (not t.terms or t.should_terms):
+        raise NotImplementedError(
+            f"{n.kind} requires match/more_like_this must terms "
+            f"and no scoring should clauses")
+    return t
+
+
+def _translate_query(s, q: dict) -> _Translated:
     t = _Translated()
     if q is None:
         return t
@@ -309,7 +388,7 @@ def _translate(s, q: dict) -> _Translated:
         import base64
 
         raw = arg["query"] if isinstance(arg, dict) else arg
-        return _translate(s, json.loads(base64.b64decode(raw)))
+        return _translate_query(s, json.loads(base64.b64decode(raw)))
     if kind == "match":
         ((_f, v),) = arg.items()
         t.terms = _tokens(s, _text_of(v))
@@ -334,7 +413,7 @@ def _translate(s, q: dict) -> _Translated:
         return t
     if kind == "match_phrase":
         ((_f, v),) = arg.items()
-        t.phrase = _tokens(s, _text_of(v))
+        _put(t, _phrase_node(_tokens(s, _text_of(v))))
         return t
     if kind == "simple_query_string":
         # the subset users actually type: whitespace-separated terms
@@ -353,10 +432,7 @@ def _translate(s, q: dict) -> _Translated:
         nots: list[str] = []
         frees: list[str] = []
         for phr in _re.findall(r'"([^"]*)"', qs):
-            if t.phrase is not None:
-                raise NotImplementedError(
-                    "one quoted phrase per simple_query_string")
-            t.phrase = _tokens(s, phr)
+            _put(t, _phrase_node(_tokens(s, phr)))
         qs = _re.sub(r'"[^"]*"', " ", qs)
         for raw in qs.split():
             if raw.startswith("+"):
@@ -366,8 +442,7 @@ def _translate(s, q: dict) -> _Translated:
             else:
                 frees.extend(_tokens(s, raw))
         and_op = str(arg.get("default_operator", "or")).lower() == "and"
-        _apply_term_groups(t, musts, frees, nots, and_op,
-                           what="simple_query_string")
+        _apply_term_groups(t, musts, frees, nots, and_op)
         return t
     if kind == "query_string":
         return _translate_query_string(s, t, arg)
@@ -381,15 +456,16 @@ def _translate(s, q: dict) -> _Translated:
             t.terms = _tokens(s, arg["query"])
             return t
         if mtype == "phrase":
-            t.phrase = _tokens(s, arg["query"])
+            _put(t, _phrase_node(_tokens(s, arg["query"])))
             return t
         raise NotImplementedError(
             f"multi_match type {mtype!r} is not supported")
     if kind == "match_phrase_prefix":
         ((_f, v),) = arg.items()
-        me = v.get("max_expansions", 50) if isinstance(v, dict) else 50
-        t.phrase_prefix = {"terms": _tokens(s, _text_of(v)),
-                           "max_expansions": int(me)}
+        me = int(v.get("max_expansions", 50) if isinstance(v, dict) else 50)
+        toks = _tokens(s, _text_of(v))
+        _put(t, _Node(kind, lambda s, k, f: s.match_phrase_prefix(
+            toks, k=k, max_expansions=me, filter=f), "rank", toks[:-1]))
         return t
     if kind == "match_bool_prefix":
         ((_f, v),) = arg.items()
@@ -397,9 +473,14 @@ def _translate(s, q: dict) -> _Translated:
                 str(v.get("operator", "or")).lower() != "or":
             raise NotImplementedError(
                 "match_bool_prefix supports the default OR operator only")
-        me = v.get("max_expansions", 50) if isinstance(v, dict) else 50
-        t.bool_prefix = {"terms": _tokens(s, _text_of(v)),
-                         "max_expansions": int(me)}
+        me = int(v.get("max_expansions", 50) if isinstance(v, dict) else 50)
+        toks = _tokens(s, _text_of(v))
+        # prefix-ONLY matches are hits too (OR semantics): the agg scope
+        # adds the uncapped dictionary prefix (a superset of the capped
+        # expansion set when max_expansions truncates)
+        _put(t, _Node(kind, lambda s, k, f: s.match_bool_prefix(
+            toks, k=k, max_expansions=me, filter=f), "rank", toks[:-1],
+            [{"prefix": toks[-1]}] if toks else []))
         return t
     if kind == "terms_set":
         ((_f, spec),) = arg.items()
@@ -412,28 +493,30 @@ def _translate(s, q: dict) -> _Translated:
         t.msm = int(spec.get("minimum_should_match", 1))
         return t
     if kind == "pinned":
-        inner = _translate(s, arg["organic"])
-        if inner.phrase or inner.dis_max or inner.const or not inner.terms:
-            raise NotImplementedError(
-                "pinned requires a match/more_like_this organic query")
-        inner.pinned = [int(v) for v in arg["ids"]]
+        # ES counts the pinned ids as matches even when they hold no query
+        # term (search_pinned returns them as 0.0-score hits), so total =
+        # |ids ∪ organic matches|, never < the page length
+        inner = _translate_query(s, arg["organic"])
+        ids = [int(v) for v in arg["ids"]]
+        _put(inner, _Node(kind, lambda s, k, f: s.search_pinned(
+            inner.terms, ids, k=k, filter=f), pins=ids, rerank=True))
         return inner
     if kind == "span_near":
         if not arg.get("in_order", True):
             raise NotImplementedError("span_near supports in_order only")
-        t.span_near = {
-            "terms": [next(iter(c["span_term"].values()))
-                      for c in arg["clauses"]],
-            "slop": int(arg.get("slop", 0)),
-        }
+        _put(t, _span_near_node(kind, [next(iter(c["span_term"].values()))
+                                        for c in arg["clauses"]],
+                                int(arg.get("slop", 0))))
         return t
     if kind == "span_first":
         m = arg["match"]
         if "span_term" not in m:
             raise NotImplementedError(
                 "span_first supports a span_term match only")
-        t.span_first = {"term": next(iter(m["span_term"].values())),
-                        "end": int(arg["end"])}
+        term, end = next(iter(m["span_term"].values())), int(arg["end"])
+        _put(t, _Node(kind, lambda s, k, f: s.span_first(term, end, k=k,
+                                                         filter=f),
+                      "rank", [term]))
         return t
     if kind == "span_or":
         # a span_or of span_terms matches docs holding ANY clause term and
@@ -451,12 +534,11 @@ def _translate(s, q: dict) -> _Translated:
             raise NotImplementedError(
                 "span_not supports span_term include/exclude only")
         dist = int(arg.get("dist", 0))
-        t.span_not = {
-            "include": next(iter(arg["include"]["span_term"].values())),
-            "exclude": next(iter(arg["exclude"]["span_term"].values())),
-            "pre": int(arg.get("pre", dist)),
-            "post": int(arg.get("post", dist)),
-        }
+        inc = next(iter(arg["include"]["span_term"].values()))
+        exc = next(iter(arg["exclude"]["span_term"].values()))
+        pre, post = int(arg.get("pre", dist)), int(arg.get("post", dist))
+        _put(t, _Node(kind, lambda s, k, f: s.span_not(
+            inc, exc, pre=pre, post=post, k=k, filter=f), "rank", [inc]))
         return t
     if kind in ("span_containing", "span_within"):
         big, little = arg["big"], arg["little"]
@@ -466,15 +548,15 @@ def _translate(s, q: dict) -> _Translated:
         bn = big["span_near"]
         if not bn.get("in_order", True):
             raise NotImplementedError(f"{kind} big supports in_order only")
-        t.span_cont = {
-            "big": [next(iter(c["span_term"].values()))
-                    for c in bn["clauses"]],
-            "little": next(iter(little["span_term"].values())),
-            "slop": int(bn.get("slop", 0)),
-            # same matched docs; the scored span differs (ES returns big
-            # spans for span_containing, little for span_within)
-            "score": "big" if kind == "span_containing" else "little",
-        }
+        bt = [next(iter(c["span_term"].values())) for c in bn["clauses"]]
+        lt = next(iter(little["span_term"].values()))
+        slop = int(bn.get("slop", 0))
+        # same matched docs; the scored span differs (ES returns big
+        # spans for span_containing, little for span_within)
+        score = "big" if kind == "span_containing" else "little"
+        _put(t, _Node(kind, lambda s, k, f: s.span_containing(
+            bt, lt, slop=slop, score=score, k=k, filter=f),
+            "rank", bt + [lt]))
         return t
     if kind == "combined_fields":
         # ES combined_fields: term-centric BM25 over N text fields; the
@@ -482,7 +564,7 @@ def _translate(s, q: dict) -> _Translated:
         # field and the query degenerates to match (operator honored)
         op = str(arg.get("operator", "or")).lower()
         _apply_term_groups(t, [], _tokens(s, arg["query"]), [],
-                           op == "and", "combined_fields")
+                           op == "and")
         return t
     if kind == "nested":
         # ES nested scopes inner conditions to ONE object under `path`;
@@ -520,13 +602,10 @@ def _translate(s, q: dict) -> _Translated:
             # engine's span predicate needs a bound — require one
             raise NotImplementedError(
                 "intervals `match` needs an explicit max_gaps >= 0")
-        t.span_near = {"terms": _tokens(s, m["query"]), "slop": gaps}
+        _put(t, _span_near_node(kind, _tokens(s, m["query"]), gaps))
         return t
     if kind == "function_score":
-        inner = _translate(s, arg.get("query"))
-        if inner.phrase or inner.dis_max or inner.const or not inner.terms:
-            raise NotImplementedError(
-                "function_score requires a match/more_like_this inner query")
+        inner = _translate_query(s, arg.get("query"))
         fns = arg.get("functions", [])
         if arg.get("boost_mode", "multiply") == "multiply" and \
                 arg.get("score_mode", "multiply") == "multiply" and \
@@ -535,11 +614,10 @@ def _translate(s, q: dict) -> _Translated:
             # the single-gauss multiply fast path
             # (Searcher.function_score; ES default boost_mode)
             ((attr, g),) = fns[0]["gauss"].items()
-            inner.gauss = {
-                "attr": attr, "origin": float(g["origin"]),
-                "scale": float(g["scale"]),
-                "decay": float(g.get("decay", 0.5)),
-            }
+            _put(inner, _rerank_node(
+                kind, inner, "function_score", decay_attr=attr,
+                origin=float(g["origin"]), scale=float(g["scale"]),
+                decay=float(g.get("decay", 0.5))))
             return inner
         # general form: gauss / field_value_factor / script_score / bare
         # weight functions, each optionally filter-gated, combined by
@@ -559,12 +637,11 @@ def _translate(s, q: dict) -> _Translated:
                     f"unsupported function_score function {sorted(f)}")
             pf.update(f)
             parsed.append(pf)
-        inner.fscore = {
-            "functions": parsed,
-            "score_mode": arg.get("score_mode", "multiply"),
-            "boost_mode": arg.get("boost_mode", "multiply"),
-            "max_boost": arg.get("max_boost"),
-        }
+        _put(inner, _rerank_node(
+            kind, inner, "search_function_score", functions=parsed,
+            score_mode=arg.get("score_mode", "multiply"),
+            boost_mode=arg.get("boost_mode", "multiply"),
+            max_boost=arg.get("max_boost")))
         return inner
     if kind == "script_score":
         # ES script_score query: REPLACE the inner query's score with the
@@ -572,49 +649,40 @@ def _translate(s, q: dict) -> _Translated:
         # with one script_score function and boost_mode=replace. Scripts
         # referencing `_score` refuse at painless translation (the
         # arithmetic-over-doc-attrs subset only).
-        inner = _translate(s, arg["query"])
-        if inner.phrase or inner.dis_max or inner.const or not inner.terms:
-            raise NotImplementedError(
-                "script_score requires a match/more_like_this inner query")
+        inner = _translate_query(s, arg["query"])
         if "min_score" in arg:
             raise NotImplementedError(
                 "script_score min_score is not supported (use the "
                 "top-level min_score)")
-        inner.fscore = {
-            "functions": [{"script_score": {"script": arg["script"]}}],
-            "score_mode": "multiply",
-            "boost_mode": "replace",
-            "max_boost": None,
-        }
+        _put(inner, _rerank_node(
+            kind, inner, "search_function_score",
+            functions=[{"script_score": {"script": arg["script"]}}],
+            score_mode="multiply", boost_mode="replace", max_boost=None))
         return inner
     if kind == "boosting":
         # positive supplies candidates + BM25; negative DEMOTES (does not
         # exclude) by negative_boost — Searcher.search_boosting
-        inner = _translate(s, arg["positive"])
-        if inner.phrase or inner.dis_max or inner.const or not inner.terms:
-            raise NotImplementedError(
-                "boosting requires a match/more_like_this positive query")
-        inner.boosting = {
-            "negative": _clause_filter(
-                s, *next(iter(arg["negative"].items()))),
-            "negative_boost": float(arg.get("negative_boost", 0.5)),
-        }
+        inner = _translate_query(s, arg["positive"])
+        _put(inner, _rerank_node(
+            kind, inner, "search_boosting",
+            negative=_clause_filter(s, *next(iter(arg["negative"].items()))),
+            negative_boost=float(arg.get("negative_boost", 0.5))))
         return inner
     if kind == "dis_max":
-        t.dis_max = {
-            "queries": [
-                _tokens(s, _text_of(next(iter(sub["match"].values()))))
-                for sub in arg["queries"]
-            ],
-            "tie_breaker": float(arg.get("tie_breaker", 0.0)),
-        }
+        qs = [_tokens(s, _text_of(next(iter(sub["match"].values()))))
+              for sub in arg["queries"]]
+        tie = float(arg.get("tie_breaker", 0.0))
+        _put(t, _Node(kind, lambda s, k, f: s.search_dis_max(
+            qs, tie_breaker=tie, k=k, filter=f),
+            scope=[w for q in qs for w in q]))
         return t
     if kind == "constant_score":
-        t.const = {
-            "filter": _clause_filter(
-                s, *next(iter(arg["filter"].items()))),
-            "boost": float(arg.get("boost", 1.0)),
-        }
+        # the filter scopes the hits, the total and the aggs like any
+        # filter clause; the node only scores them all ``boost``
+        t.filters.append(_clause_filter(s, *next(iter(arg["filter"].items()))))
+        boost = float(arg.get("boost", 1.0))
+        _put(t, _Node(kind, lambda s, k, f: s.search_constant_score(
+            f, boost=boost, k=k)))
         return t
     if kind == "bool":
         must = arg.get("must", [])
@@ -630,9 +698,7 @@ def _translate(s, q: dict) -> _Translated:
                 t.terms.extend(toks)
             elif ck == "match_phrase":
                 ((_f, v),) = cv.items()
-                if t.phrase is not None:
-                    raise NotImplementedError("one match_phrase per bool")
-                t.phrase = _tokens(s, _text_of(v))
+                _put(t, _phrase_node(_tokens(s, _text_of(v))))
             else:
                 t.filters.append(_clause_filter(s, ck, cv))
         if len(match_groups) > 1:
@@ -657,31 +723,22 @@ def _translate(s, q: dict) -> _Translated:
         for c in should:
             ck, cv = next(iter(c.items()))
             if ck == "rank_feature":
-                if t.rank_feature is not None:
-                    raise NotImplementedError("one rank_feature per bool")
                 fn = next((f for f in ("saturation", "log", "sigmoid")
                            if f in cv), "saturation")
                 spec = cv.get(fn, {})
-                t.rank_feature = {
-                    "field": cv["field"],
-                    "function": fn,
-                    "pivot": float(spec.get("pivot", 1.0)),
-                    "scaling_factor": float(
-                        spec.get("scaling_factor", 1.0)),
-                    "exponent": float(spec.get("exponent", 1.0)),
-                    "boost": float(cv.get("boost", 1.0)),
-                }
+                _put(t, _rerank_node(
+                    ck, t, "search_rank_feature", feature_attr=cv["field"],
+                    function=fn, pivot=float(spec.get("pivot", 1.0)),
+                    scaling_factor=float(spec.get("scaling_factor", 1.0)),
+                    exponent=float(spec.get("exponent", 1.0)),
+                    boost=float(cv.get("boost", 1.0))))
                 continue
             if ck == "distance_feature":
-                if t.distance_feature is not None:
-                    raise NotImplementedError(
-                        "one distance_feature per bool")
-                t.distance_feature = {
-                    "field": cv["field"],
-                    "origin": float(cv["origin"]),
-                    "pivot": float(cv["pivot"]),
-                    "boost": float(cv.get("boost", 1.0)),
-                }
+                _put(t, _rerank_node(
+                    ck, t, "search_distance_feature",
+                    feature_attr=cv["field"], origin=float(cv["origin"]),
+                    pivot=float(cv["pivot"]),
+                    boost=float(cv.get("boost", 1.0))))
                 continue
             if ck != "match":
                 raise NotImplementedError(
@@ -699,7 +756,7 @@ def _translate(s, q: dict) -> _Translated:
 
 
 def _apply_term_groups(t: _Translated, musts: list[str], frees: list[str],
-                       nots: list[str], and_op: bool, what: str) -> None:
+                       nots: list[str], and_op: bool) -> None:
     """Shared tail for the query-string family: required tokens each add
     a >=1-term filter (candidates intersect, ES semantics; scoring is
     the BM25 sum as usual); excluded tokens add a must_not filter."""
@@ -710,15 +767,9 @@ def _apply_term_groups(t: _Translated, musts: list[str], frees: list[str],
         for toks in groups:
             t.filters.append(
                 {"bool": {"should": [{"match": w} for w in toks]}})
-    elif len(groups) == 1 and not frees and t.phrase is None:
-        pass  # a single required term IS the candidate set already
     if nots:
         t.filters.append({"bool": {"must_not": [
             {"match": w} for w in nots]}})
-    if t.phrase is not None and (t.terms or t.should_terms):
-        raise NotImplementedError(
-            f"{what} mixes a phrase with scored terms — "
-            "split into a bool query instead")
 
 
 def _translate_query_string(s, t: _Translated, arg) -> _Translated:
@@ -740,9 +791,7 @@ def _translate_query_string(s, t: _Translated, arg) -> _Translated:
                 "(terms, +, -, NOT, AND/OR, field:value, term^boost, "
                 "one quoted phrase, trailing * prefix are)")
     for phr in re.findall(r'"([^"]*)"', qs):
-        if t.phrase is not None:
-            raise NotImplementedError("one quoted phrase per query_string")
-        t.phrase = _tokens(s, phr)
+        _put(t, _phrase_node(_tokens(s, phr)))
     qs = re.sub(r'"[^"]*"', " ", qs)
     toks = qs.split()
     ops = {w.upper() for w in toks if w.upper() in ("AND", "OR")}
@@ -807,142 +856,64 @@ def _translate_query_string(s, t: _Translated, arg) -> _Translated:
                         f"term {w!r} boosted more than once")
                 t.boosts[w] = boost
         (musts if req else frees).extend(words)
-    _apply_term_groups(t, musts, frees, nots, and_op, what="query_string")
+    _apply_term_groups(t, musts, frees, nots, and_op)
     return t
 
 
-def _run_hits(s, t: _Translated, size, min_score, after, sort):
-    if sort is not None:
-        specs = sort if isinstance(sort, list) else [sort]
-        parsed = []
-        for spec in specs:
-            ((attr, opts),) = spec.items() if isinstance(spec, dict) \
-                else ((spec, {}),)
-            parsed.append((attr,
-                           (opts or {}).get("order", "desc") == "desc"))
-        if len(parsed) > 1:
-            if any(a == "_score" for a, _ in parsed):
-                raise NotImplementedError(
-                    "_score inside a multi-field sort is not supported")
-            # multi-key field sort (ES tie-breaker keys), search_after
-            # cursor = (v1, ..., vN, doc_id)
-            return s.sort_by_attrs(parsed, k=size, filter=t.filter,
-                                   after=after)
-        attr, desc = parsed[0]
-        if attr != "_score":  # sort:["_score"] IS the default ranking
-            return s.sort_by_attr(attr, k=size, descending=desc,
-                                  filter=t.filter, after=after)
-    if t.phrase_prefix is not None:
-        return s.match_phrase_prefix(
-            t.phrase_prefix["terms"], k=size,
-            max_expansions=t.phrase_prefix["max_expansions"],
-            filter=t.filter)
-    if t.bool_prefix is not None:
-        return s.match_bool_prefix(
-            t.bool_prefix["terms"], k=size,
-            max_expansions=t.bool_prefix["max_expansions"],
-            filter=t.filter)
-    if t.pinned is not None:
-        return s.search_pinned(t.terms, t.pinned, k=size, filter=t.filter)
-    if t.dis_max is not None:
-        return s.search_dis_max(t.dis_max["queries"],
-                                tie_breaker=t.dis_max["tie_breaker"],
-                                k=size, filter=t.filter)
-    if t.phrase is not None:
-        return s.phrase_search(t.phrase, k=size, filter=t.filter)
-    if t.span_near is not None:
-        return s.span_near(t.span_near["terms"], slop=t.span_near["slop"],
-                           k=size, filter=t.filter)
-    if t.span_first is not None:
-        return s.span_first(t.span_first["term"], t.span_first["end"],
-                            k=size, filter=t.filter)
-    if t.span_not is not None:
-        return s.span_not(t.span_not["include"], t.span_not["exclude"],
-                          pre=t.span_not["pre"], post=t.span_not["post"],
-                          k=size, filter=t.filter)
-    if t.span_cont is not None:
-        return s.span_containing(
-            t.span_cont["big"], t.span_cont["little"],
-            slop=t.span_cont["slop"], score=t.span_cont["score"],
-            k=size, filter=t.filter)
-    if t.boosting is not None:
-        return s.search_boosting(
-            t.terms, k=size, negative=t.boosting["negative"],
-            negative_boost=t.boosting["negative_boost"], filter=t.filter)
-    if t.gauss is not None:
-        return s.function_score(
-            t.terms, k=size, decay_attr=t.gauss["attr"],
-            origin=t.gauss["origin"], scale=t.gauss["scale"],
-            decay=t.gauss["decay"], filter=t.filter)
-    if t.fscore is not None:
-        return s.search_function_score(
-            t.terms, t.fscore["functions"], k=size,
-            score_mode=t.fscore["score_mode"],
-            boost_mode=t.fscore["boost_mode"],
-            max_boost=t.fscore["max_boost"], filter=t.filter)
-    if t.rank_feature is not None:
-        if t.should_terms or not t.terms:
-            raise NotImplementedError(
-                "rank_feature requires match must terms and no other "
-                "scoring should clauses")
-        return s.search_rank_feature(
-            t.terms, k=size, feature_attr=t.rank_feature["field"],
-            pivot=t.rank_feature["pivot"], boost=t.rank_feature["boost"],
-            function=t.rank_feature.get("function", "saturation"),
-            scaling_factor=t.rank_feature.get("scaling_factor", 1.0),
-            exponent=t.rank_feature.get("exponent", 1.0),
-            filter=t.filter)
-    if t.distance_feature is not None:
-        if t.should_terms or not t.terms:
-            raise NotImplementedError(
-                "distance_feature requires match must terms and no other "
-                "scoring should clauses")
-        return s.search_distance_feature(
-            t.terms, k=size, feature_attr=t.distance_feature["field"],
-            origin=t.distance_feature["origin"],
-            pivot=t.distance_feature["pivot"],
-            boost=t.distance_feature["boost"], filter=t.filter)
+def _parse_sort(sort) -> list[tuple[str, bool]] | None:
+    """A request's ``sort`` as ``[(attr, descending), ...]``; None for the
+    default ranking (no sort, or a single ``_score`` key)."""
+    if sort is None:
+        return None
+    parsed = []
+    for spec in sort if isinstance(sort, list) else [sort]:
+        ((attr, opts),) = spec.items() if isinstance(spec, dict) \
+            else ((spec, {}),)
+        parsed.append((attr, (opts or {}).get("order", "desc") == "desc"))
+    if len(parsed) > 1 and any(a == "_score" for a, _ in parsed):
+        raise NotImplementedError(
+            "_score inside a multi-field sort is not supported")
+    return None if parsed[0][0] == "_score" else parsed
+
+
+def _run_hits(s, t: _Translated, size, min_score=None, after=None):
+    """The query's top ``size`` hits in its own ranking."""
+    if t.node is not None:
+        return t.node.rank(s, size, t.filter)
     if t.terms or t.should_terms:
         return s.search(t.terms, k=size, filter=t.filter,
                         should_terms=t.should_terms or None,
                         min_should_match=t.msm, boosts=t.boosts or None,
                         min_score=min_score, after=after)
-    if t.const is not None:
-        return s.search_constant_score(t.const["filter"],
-                                       boost=t.const["boost"], k=size)
     return s.search_constant_score(t.filter, boost=1.0, k=size)
+
+
+def _sort_hits(s, sort, size, filter, after):
+    """Field sort (ES tie-breaker keys, then doc_id asc) of the docs
+    ``filter`` selects; the search_after cursor is ``(v1, ..., vN,
+    doc_id)``."""
+    if len(sort) > 1:
+        return s.sort_by_attrs(sort, k=size, filter=filter, after=after)
+    ((attr, desc),) = sort
+    return s.sort_by_attr(attr, k=size, descending=desc, filter=filter,
+                          after=after)
 
 
 def _agg_scope_filter(s, t: _Translated):
     """ES aggs scope to the query's matching docs: scoring terms become
     a should-filter (>=1 term), composed with the filter clauses.
 
-    Documented approximation: for match_phrase the agg scope is docs
-    containing >=1 phrase WORD (a superset of phrase matches) — exact
-    phrase totals are handled separately in :func:`execute_dsl`."""
+    Documented approximation: for a node whose total is "rank" (the
+    positional kinds) the agg scope is docs containing >=1 of its scope
+    words, a superset of its matches — exact totals come from
+    :func:`_matched`."""
     parts = list(t.filters)
-    sterms = t.terms + t.should_terms + (t.phrase or []) \
-        + (t.span_near["terms"] if t.span_near else []) \
-        + ([t.span_first["term"]] if t.span_first else []) \
-        + ([t.span_not["include"]] if t.span_not else []) \
-        + (t.span_cont["big"] + [t.span_cont["little"]]
-           if t.span_cont else []) \
-        + (t.phrase_prefix["terms"][:-1] if t.phrase_prefix else []) \
-        + (t.bool_prefix["terms"][:-1] if t.bool_prefix else [])
-    if t.dis_max is not None:
-        for qt in t.dis_max["queries"]:
-            sterms.extend(qt)
-    if sterms or t.bool_prefix is not None:
-        should = [{"match": w} for w in sorted(set(sterms))]
-        if t.bool_prefix is not None:
-            # prefix-ONLY matches are hits too (OR semantics) — scope by
-            # the uncapped dictionary prefix (superset of the capped
-            # expansion set when max_expansions truncates, like the
-            # phrase approximation documented above)
-            should.append({"prefix": t.bool_prefix["terms"][-1]})
+    node = t.node
+    sterms = t.terms + t.should_terms + (node.scope if node else [])
+    should = [{"match": w} for w in sorted(set(sterms))] \
+        + (node.also if node else [])
+    if should:
         parts.append({"bool": {"should": should}})
-    if t.const is not None:
-        parts.append(t.const["filter"])
     if not parts:
         return None
     return parts[0] if len(parts) == 1 else {"bool": {"must": parts}}
@@ -1877,7 +1848,7 @@ def _retriever_ranking(s, spec: dict, window: int) -> list[int]:
     if kind == "standard":
         t = _translate(s, arg.get("query"))
         return [h["doc_id"]
-                for h in _run_hits(s, t, window, None, None, None)]
+                for h in _run_hits(s, t, window)]
     if kind == "knn":
         return [h["doc_id"] for h in s.knn(
             arg["field"], arg["query_vector"], k=window,
@@ -1941,65 +1912,28 @@ def _run_suggest(s, sugg: dict) -> dict:
     return out
 
 
-def _exact_total(s, t: _Translated) -> int:
-    """The true matched-doc count for a translated query — ES's
-    ``hits.total`` / ``_count`` semantics: the agg-scope filter (>=1
-    scoring term + filters) except where it would overcount, where the
-    exact predicate runs instead (phrase / span / phrase_prefix / msm>1)."""
-    if t.phrase is not None:
-        # exact: a phrase's total counts PHRASE matches, not docs holding
-        # any phrase word — run the phrase predicate over all local docs
-        return len(s.phrase_search(t.phrase, k=s.n_local, filter=t.filter))
-    if t.span_near is not None:
-        return len(s.span_near(t.span_near["terms"],
-                               slop=t.span_near["slop"],
-                               k=s.n_local, filter=t.filter))
-    if t.span_first is not None:
-        return len(s.span_first(t.span_first["term"], t.span_first["end"],
-                                k=s.n_local, filter=t.filter))
-    if t.span_not is not None:
-        return len(s.span_not(t.span_not["include"], t.span_not["exclude"],
-                              pre=t.span_not["pre"], post=t.span_not["post"],
-                              k=s.n_local, filter=t.filter))
-    if t.span_cont is not None:
-        return len(s.span_containing(
-            t.span_cont["big"], t.span_cont["little"],
-            slop=t.span_cont["slop"], score=t.span_cont["score"],
-            k=s.n_local, filter=t.filter))
-    if t.phrase_prefix is not None:
-        return len(s.match_phrase_prefix(
-            t.phrase_prefix["terms"], k=s.n_local,
-            max_expansions=t.phrase_prefix["max_expansions"],
-            filter=t.filter))
-    if t.bool_prefix is not None:
-        # the >=1-term agg-scope filter misses prefix-only matches; run
-        # the exact OR predicate instead
-        return len(s.match_bool_prefix(
-            t.bool_prefix["terms"], k=s.n_local,
-            max_expansions=t.bool_prefix["max_expansions"],
-            filter=t.filter))
-    if t.pinned is not None:
-        # ES counts the pinned ids as matches even when they hold no
-        # query term (search_pinned returns them as 0.0-score hits), so
-        # total = |ids ∪ organic matches|, never < the page length
-        scope = _agg_scope_filter(s, t)
-        if scope is None:
-            return s.count()
-        return s.count({"bool": {"should": [{"ids": t.pinned}, scope]}})
-    if t.msm > 1 and (t.terms or t.should_terms):
-        # minimum_should_match > 1 (bool msm, terms_set): the >=1-term
-        # agg-scope filter overcounts; run the exact predicate instead
-        return len(s.search(t.terms, k=s.n_local, filter=t.filter,
-                            should_terms=t.should_terms or None,
-                            min_should_match=t.msm))
-    return s.count(_agg_scope_filter(s, t))
+def _matched(s, t: _Translated) -> tuple[dict | None, int]:
+    """The docs ``hits.total`` counts — ES's ``hits.total`` / ``_count``
+    semantics — as a filter that selects exactly them (None: every live
+    doc) and their number. The agg scope (>=1 scoring term + filters)
+    except where it would overcount: a node whose total is "rank" and
+    msm > 1 run their exact predicate over every local doc instead."""
+    node = t.node
+    if (node.total == "rank" if node is not None
+            else t.msm > 1 and (t.terms or t.should_terms)):
+        ids = [h["doc_id"] for h in _run_hits(s, t, s.n_local)]
+        return {"ids": ids}, len(ids)
+    f = _agg_scope_filter(s, t)
+    if node is not None and node.pins is not None and f is not None:
+        f = {"bool": {"should": [{"ids": node.pins}, f]}}
+    return f, s.count(f)
 
 
 def execute_count(s, body: dict | None = None) -> dict:
     """ES ``_count``: the matched-doc count for a query body — no hits,
     no aggs, same exact-total semantics as ``hits.total``."""
     t = _translate(s, (body or {}).get("query"))
-    return {"count": int(_exact_total(s, t))}
+    return {"count": int(_matched(s, t)[1])}
 
 
 def execute_get(s, doc_id: int, source: list[str] | None = None) -> dict:
@@ -2194,21 +2128,14 @@ def execute_explain(s, doc_id: int, body: dict) -> dict:
     ids_f = {"ids": [did]}
     f = ids_f if t.filter is None else {"bool": {"must": [t.filter,
                                                           ids_f]}}
-    if not t.terms and not t.should_terms:
-        if any(x is not None for x in (
-                t.phrase, t.dis_max, t.const, t.rank_feature, t.span_near,
-                t.span_first, t.span_not, t.span_cont, t.gauss, t.fscore,
-                t.boosting, t.phrase_prefix, t.pinned)):
-            raise NotImplementedError(
-                "_explain supports match/bool-match and pure "
-                "filter-context queries only")
+    if t.node is None and not t.terms and not t.should_terms:
         matched = bool(_scope_keep(s, f).any())
         return {"_id": did, "matched": matched, "explanation": {
             "value": 1.0 if matched else 0.0,
             "description": ("ConstantScore(filter context)" if matched
                             else "no matching clause"),
             "details": []}}
-    if not _is_plain_match(t, body):
+    if not _is_plain_match(t, _parse_sort(body.get("sort"))):
         raise NotImplementedError(
             "_explain supports match/bool-match and pure filter-context "
             "queries only")
@@ -2551,7 +2478,7 @@ def _execute_body(s, body: dict) -> dict:
             raise NotImplementedError(
                 "knn+query combined retrieval supports hits only")
         t = _translate(s, body.get("query"))
-        qhits = _run_hits(s, t, size, body.get("min_score"), None, None)
+        qhits = _run_hits(s, t, size, body.get("min_score"))
         fused: dict[int, float] = {}
         for h in qhits:
             fused[h["doc_id"]] = fused.get(h["doc_id"], 0.0) + h["score"]
@@ -2563,13 +2490,15 @@ def _execute_body(s, body: dict) -> dict:
             "hits": [{"_id": d, "_score": sc} for d, sc in top],
         }}
     t = _translate(s, body.get("query"))
+    sort = _parse_sort(body.get("sort"))
     frm = int(body.get("from", 0))
     after = tuple(body["search_after"]) if "search_after" in body else None
+    total = None
     if "collapse" in body:
         # ES field collapsing: one hit (the best) per distinct value of a
         # doc attribute — served by Searcher.search_collapse (plain
         # match/bool-match queries only; hits.total still counts DOCS)
-        if not _is_plain_match(t, body) or t.should_terms or \
+        if not _is_plain_match(t, sort) or t.should_terms or \
                 body.get("sort") is not None or after is not None:
             raise NotImplementedError(
                 "collapse requires a plain match query with default "
@@ -2588,7 +2517,7 @@ def _execute_body(s, body: dict) -> dict:
                 "rescore supports a match_phrase rescore_query only")
         if float(rs["query"].get("query_weight", 1.0)) != 1.0:
             raise NotImplementedError("rescore query_weight must be 1.0")
-        if not _is_plain_match(t, body) or t.should_terms or \
+        if not _is_plain_match(t, sort) or t.should_terms or \
                 body.get("sort") is not None or after is not None:
             raise NotImplementedError(
                 "rescore requires a plain match query with default "
@@ -2599,12 +2528,16 @@ def _execute_body(s, body: dict) -> dict:
             window=int(rs.get("window_size", 10)),
             weight=float(rs["query"].get("rescore_query_weight", 1.0)),
             filter=t.filter)
+    elif sort is not None:
+        # a field sort orders exactly the docs hits.total counts
+        f, total = _matched(s, t)
+        hits = _sort_hits(s, sort, size + frm, f, after)
     else:
-        hits = _run_hits(s, t, size + frm, body.get("min_score"),
-                         after, body.get("sort"))
+        hits = _run_hits(s, t, size + frm, body.get("min_score"), after)
     hits = hits[frm:]
     aggs = body.get("aggs") or body.get("aggregations")
-    total = _exact_total(s, t)
+    if total is None:
+        total = _matched(s, t)[1]
     resp = {
         "hits": {
             "total": {"value": int(total), "relation": "eq"},
@@ -2622,7 +2555,7 @@ def _execute_body(s, body: dict) -> dict:
             # top-k differs from the collapsed/rescored hit set
             raise NotImplementedError(
                 "explain/highlight are not supported with collapse/rescore")
-        _attach_hit_evidence(s, body, t, resp, size + frm, after)
+        _attach_hit_evidence(s, body, t, sort, resp, size + frm, after)
     if "suggest" in body:
         resp["suggest"] = _run_suggest(s, body["suggest"])
     if aggs:
@@ -2632,33 +2565,20 @@ def _execute_body(s, body: dict) -> dict:
     return resp
 
 
-def _is_plain_match(t: _Translated, body: dict) -> bool:
-    """True when _run_hits took the plain terms-scoring ``Searcher.search``
-    path — the only path explain/highlight evidence is defined for."""
-    sort = body.get("sort")
-    if sort is not None:
-        specs = sort if isinstance(sort, list) else [sort]
-        spec = specs[0]
-        attr = next(iter(spec)) if isinstance(spec, dict) else spec
-        if attr != "_score":
-            return False
-    return (t.phrase is None and t.span_near is None and t.dis_max is None
-            and t.span_first is None and t.span_not is None
-            and t.span_cont is None
-            and t.boosting is None and t.gauss is None
-            and t.rank_feature is None and t.const is None
-            and t.phrase_prefix is None and t.pinned is None
-            and t.fscore is None
-            and bool(t.terms or t.should_terms))
+def _is_plain_match(t: _Translated, sort) -> bool:
+    """True when the hits come from the plain terms-scoring
+    ``Searcher.search`` ranking (no node, no field ``sort``) — the only
+    path explain/highlight evidence is defined for."""
+    return t.node is None and sort is None and bool(t.terms or t.should_terms)
 
 
-def _attach_hit_evidence(s, body: dict, t: _Translated, resp: dict,
+def _attach_hit_evidence(s, body: dict, t: _Translated, sort, resp: dict,
                          k: int, after) -> None:
     """ES ``explain: true`` (per-hit ``_explanation`` BM25 breakdown) and
     ``highlight`` (per-hit term-occurrence evidence, offsets flavor — the
     index stores positions, not source text, so fragments are structured
     occurrence rows rather than ``<em>`` snippets)."""
-    if not _is_plain_match(t, body):
+    if not _is_plain_match(t, sort):
         raise NotImplementedError(
             "explain/highlight are supported for match/bool match "
             "queries only")
@@ -2889,12 +2809,8 @@ def execute_validate(s, body: dict | None = None,
             parts.append("terms:" + ",".join(t.terms))
         if t.should_terms:
             parts.append("should:" + ",".join(t.should_terms))
-        for name in ("phrase", "dis_max", "const", "rank_feature",
-                     "span_near", "span_first", "span_not", "gauss",
-                     "fscore", "boosting", "phrase_prefix", "pinned",
-                     "bool_prefix", "distance_feature"):
-            if getattr(t, name) is not None:
-                parts.append(name)
+        if t.node is not None:
+            parts.append(t.node.kind)
         if t.filters:
             parts.append(f"filters:{len(t.filters)}")
         out["explanations"] = [{

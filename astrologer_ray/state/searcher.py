@@ -23,6 +23,11 @@ Otherwise more terms join the essential set. Contributions go in
 sorted-term order, a non-posting adding +0.0, so scores are
 bit-identical to the oracle.
 
+Every other match-then-rank method (phrase, prefix and span queries,
+dis_max, synonyms, boosting, function_score, rank / distance feature)
+finds its match set, scores it — the positional ones through the same
+``_score`` sum — and ends in the same ``_topk`` + ``_format`` tail.
+
 Doc attributes (``DocAttrs``) keep string columns as dictionary codes:
 string filters, ``lang=``, terms-style aggregations and collapse compare
 and count int32 codes.
@@ -577,13 +582,15 @@ class Searcher:
               ) -> list[tuple[int, float]]:
         """The k best of local ids ``cand`` scored ``cs``, as global
         ``(doc_id, score)`` in (score desc, doc_id asc) order."""
-        if len(cand) == 0:
+        if len(cand) == 0 or k <= 0:
             return []
         kk = min(k, len(cand))
         # cheap pre-cut before the exact (score desc, doc_id asc) sort:
-        # keep everything >= the k-th score so boundary ties survive
+        # keep everything not below the k-th score so boundary ties
+        # survive (a NaN score — a function_score can make one — sorts
+        # last and survives, as in the full sort)
         if len(cand) > 4 * kk:
-            keep = cs >= cs[np.argpartition(-cs, kk - 1)[kk - 1]]
+            keep = ~(cs < cs[np.argpartition(-cs, kk - 1)[kk - 1]])
             cand, cs = cand[keep], cs[keep]
         order = np.lexsort((cand, -cs))[:kk]
         lo = self.doc_lo
@@ -666,11 +673,15 @@ class Searcher:
         return self._score(self._clauses(qterms, boosts=boosts), None,
                            allowed, None)
 
-    def _all_hits(self, terms, filter=None) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_matches` of ``terms`` among the live docs matching
-        ``filter``, with GLOBAL doc ids."""
-        cand, cs = self._matches(terms, self._live_mask(filter))
-        return cand + self.doc_lo, cs
+    def _score_matches(self, match, terms, filter
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """A positional match set ``match`` (local ids ascending, every
+        doc holding every one of ``terms``) among the live docs matching
+        ``filter``, scored by the BM25 sum of the unique ``terms`` — the
+        same sum, in the same sorted-term order, as :meth:`search`."""
+        return self._score(self._clauses(sorted(set(terms))),
+                           np.asarray(match, dtype=np.int64),
+                           self._live_mask(filter), None)
 
     def _search_maxscore(self, qterms, k, allowed, should_terms=None,
                          min_should_match=0, after=None, boosts=None,
@@ -1355,21 +1366,8 @@ class Searcher:
         if keys is None or len(keys) == 0:
             return []
         match = np.unique(keys // self.PHRASE_POS_STRIDE)  # local ids, asc
-        scores = np.zeros(len(match), dtype=np.float64)
-        for t in sorted(set(terms)):
-            ids, w = self._term_contribution(t)
-            loc = np.searchsorted(ids, match)
-            ok = (loc < len(ids)) & (ids[np.minimum(loc, len(ids) - 1)] == match)
-            scores[ok] += w[loc[ok]]
-        fm = self._live_mask(filter)
-        if fm is not None:
-            keep = fm[match]
-            match, scores = match[keep], scores[keep]
-        if len(match) == 0:
-            return []
-        order = np.lexsort((match, -scores))[: min(k, len(match))]
-        hits = [(int(match[i]) + self.doc_lo, float(scores[i])) for i in order]
-        return self._format(hits, decorate)
+        cand, scores = self._score_matches(match, terms, filter)
+        return self._format(self._topk(cand, scores, k), decorate)
 
     def match_phrase_prefix(
         self, terms: list[str], k: int = 10, max_expansions: int | None = 50,
@@ -1413,21 +1411,8 @@ class Searcher:
         if len(keys) == 0:
             return []
         match = np.unique(keys // stride)  # local ids, ascending
-        scores = np.zeros(len(match), dtype=np.float64)
-        for t in sorted(set(fixed)):
-            ids, w = self._term_contribution(t)
-            loc = np.searchsorted(ids, match)
-            ok = (loc < len(ids)) & (ids[np.minimum(loc, len(ids) - 1)] == match)
-            scores[ok] += w[loc[ok]]
-        fm = self._live_mask(filter)
-        if fm is not None:
-            keep = fm[match]
-            match, scores = match[keep], scores[keep]
-        if len(match) == 0:
-            return []
-        order = np.lexsort((match, -scores))[: min(k, len(match))]
-        hits = [(int(match[i]) + self.doc_lo, float(scores[i])) for i in order]
-        return self._format(hits, decorate)
+        cand, scores = self._score_matches(match, fixed, filter)
+        return self._format(self._topk(cand, scores, k), decorate)
 
     def match_bool_prefix(
         self, terms: list[str], k: int = 10, max_expansions: int | None = 50,
@@ -1453,29 +1438,19 @@ class Searcher:
                                              max_terms=max_expansions)
                if FIELD_SEP not in t and self.owns_term(t)
                and t in self.postings]
+        allowed = self._live_mask(filter)
+        loc, sc = self._matches(full, allowed)
         scores = np.zeros(self.n_local, dtype=np.float64)
-        cand = np.zeros(self.n_local, dtype=bool)
-        for t in sorted({w for w in full
-                         if self.owns_term(w) and w in self.postings}):
-            ids, w = self._term_contribution(t)
-            scores[ids] += w
-            cand[ids] = True
-        pmask = np.zeros(self.n_local, dtype=bool)
+        scores[loc] = sc
+        hit = np.zeros(self.n_local, dtype=bool)
         for e in exp:
-            ids, _w = self._term_contribution(e)
-            pmask[ids] = True
-        scores[pmask] += 1.0
-        cand |= pmask
-        fm = self._live_mask(filter)
-        if fm is not None:
-            cand &= fm
-        match = np.flatnonzero(cand)
-        if len(match) == 0:
-            return []
-        sc = scores[match]
-        order = np.lexsort((match, -sc))[: min(k, len(match))]
-        hits = [(int(match[i]) + self.doc_lo, float(sc[i])) for i in order]
-        return self._format(hits, decorate)
+            hit[self._term_contribution(e)[0]] = True
+        if allowed is not None:
+            hit &= allowed
+        scores[hit] += 1.0
+        hit[loc] = True
+        cand = np.flatnonzero(hit)
+        return self._format(self._topk(cand, scores[cand], k), decorate)
 
     def agg_filters(self, filters: dict) -> list[tuple[str, int]]:
         """ES ``filters`` aggregation: named filter -> matching doc count
@@ -1666,16 +1641,12 @@ class Searcher:
             )
         if k <= 0:
             return []
-        ids, s = self._all_hits(terms, filter)
-        if len(ids) == 0:
+        cand, s = self._matches(terms, self._live_mask(filter))
+        if len(cand) == 0:
             return []
-        neg = self.filter_mask(negative)
-        demote = neg[ids - self.doc_lo]
-        s = np.where(demote, s * float(negative_boost), s)
-        order = np.lexsort((ids, -s))[: min(k, len(ids))]
-        return self._format(
-            [(int(ids[i]), float(s[i])) for i in order], decorate
-        )
+        s = np.where(self.filter_mask(negative)[cand],
+                     s * float(negative_boost), s)
+        return self._format(self._topk(cand, s, k), decorate)
 
     def search_pinned(
         self,
@@ -1751,14 +1722,8 @@ class Searcher:
             total[loc] += sc
             seen[loc] = True
         cand = np.flatnonzero(seen)
-        if len(cand) == 0:
-            return []
         score = best[cand] + float(tie_breaker) * (total[cand] - best[cand])
-        order = np.lexsort((cand, -score))[: min(k, len(cand))]
-        return self._format(
-            [(int(cand[i]) + self.doc_lo, float(score[i])) for i in order],
-            decorate,
-        )
+        return self._format(self._topk(cand, score, k), decorate)
 
     def search_synonyms(
         self,
@@ -1833,12 +1798,7 @@ class Searcher:
         cand = np.flatnonzero(nmatch >= min_group_match)
         if allowed is not None:
             cand = cand[allowed[cand]]
-        if len(cand) == 0:
-            return []
-        sc = scores[cand]
-        order = np.lexsort((cand, -sc))[: min(k, len(cand))]
-        hits = [(int(cand[i]) + self.doc_lo, float(sc[i])) for i in order]
-        return self._format(hits, decorate)
+        return self._format(self._topk(cand, scores[cand], k), decorate)
 
     def search_constant_score(
         self, filter, boost: float = 1.0, k: int = 10, decorate: bool = False
@@ -1909,16 +1869,10 @@ class Searcher:
             raise ValueError(f"scale must be > 0, got {scale}")
         sigma2 = (float(scale) ** 2) / (2.0 * math.log(1.0 / float(decay)))
         v = np.asarray(self._attr(decay_attr), dtype=np.float64)
-        ids, s = self._all_hits(terms, filter)
-        if len(ids) == 0:
-            return []
-        dv = v[ids - self.doc_lo]
-        factor = np.exp(-(np.abs(dv - float(origin)) ** 2) / (2.0 * sigma2))
-        final = s * factor
-        order = np.lexsort((ids, -final))[: min(k, len(ids))]
-        return self._format(
-            [(int(ids[i]), float(final[i])) for i in order], decorate
-        )
+        cand, s = self._matches(terms, self._live_mask(filter))
+        factor = np.exp(-(np.abs(v[cand] - float(origin)) ** 2)
+                        / (2.0 * sigma2))
+        return self._format(self._topk(cand, s * factor, k), decorate)
 
     _FVF_MODIFIERS = {
         # ES field_value_factor modifiers (log* are base 10, ln* natural)
@@ -2006,11 +1960,10 @@ class Searcher:
         should use :meth:`function_score`. Requires ``load_docs=True``."""
         if k <= 0:
             return []
-        ids, base = self._all_hits(terms, filter)
-        if len(ids) == 0:
+        li, base = self._matches(terms, self._live_mask(filter))
+        if len(li) == 0:
             return []
-        li = ids - self.doc_lo
-        n = len(ids)
+        n = len(li)
         masks, vals, weights = [], [], []
         for fn in functions:
             if fn.get("filter") is not None:
@@ -2069,10 +2022,7 @@ class Searcher:
         else:
             raise NotImplementedError(
                 f"unsupported boost_mode {boost_mode!r}")
-        order = np.lexsort((ids, -final))[: min(k, n)]
-        return self._format(
-            [(int(ids[i]), float(final[i])) for i in order], decorate
-        )
+        return self._format(self._topk(li, final, k), decorate)
 
     def search_rank_feature(
         self,
@@ -2118,12 +2068,10 @@ class Searcher:
         if not float(boost) > 0.0:
             raise ValueError(f"boost must be > 0, got {boost}")
         v = np.asarray(self._attr(feature_attr), dtype=np.float64)
-        ids, s = self._all_hits(terms, filter)
-        if len(ids) == 0:
-            return []
+        cand, s = self._matches(terms, self._live_mask(filter))
         # a missing sidecar attr is NaN — ES treats missing rank_feature
         # values as zero contribution, so clamp NaN to 0 before saturating
-        x = np.maximum(np.nan_to_num(v[ids - self.doc_lo]), 0.0)
+        x = np.maximum(np.nan_to_num(v[cand]), 0.0)
         if function == "log":
             contrib = np.log(float(scaling_factor) + x)
         elif function == "sigmoid":
@@ -2131,11 +2079,8 @@ class Searcher:
             contrib = xe / (xe + float(pivot) ** float(exponent))
         else:
             contrib = x / (x + float(pivot))
-        final = s + float(boost) * contrib
-        order = np.lexsort((ids, -final))[: min(k, len(ids))]
         return self._format(
-            [(int(ids[i]), float(final[i])) for i in order], decorate
-        )
+            self._topk(cand, s + float(boost) * contrib, k), decorate)
 
     def search_distance_feature(
         self,
@@ -2165,17 +2110,11 @@ class Searcher:
         if not float(boost) > 0.0:
             raise ValueError(f"boost must be > 0, got {boost}")
         v = np.asarray(self._attr(feature_attr), dtype=np.float64)
-        ids, s = self._all_hits(terms, filter)
-        if len(ids) == 0:
-            return []
-        x = v[ids - self.doc_lo]
+        cand, s = self._matches(terms, self._live_mask(filter))
         contrib = float(boost) * float(pivot) / (
-            float(pivot) + np.abs(x - float(origin)))
+            float(pivot) + np.abs(v[cand] - float(origin)))
         final = s + np.where(np.isnan(contrib), 0.0, contrib)
-        order = np.lexsort((ids, -final))[: min(k, len(ids))]
-        return self._format(
-            [(int(ids[i]), float(final[i])) for i in order], decorate
-        )
+        return self._format(self._topk(cand, final, k), decorate)
 
     def span_near(
         self,
@@ -2199,59 +2138,47 @@ class Searcher:
         if any(t not in self.postings or not self.owns_term(t)
                for t in terms):
             return []
+        m = len(terms)
+        match = self._span_chains(
+            terms, m, lambda p1, end, _pl: end - p1 - (m - 1) <= slop)
+        cand, scores = self._score_matches(match, terms, filter)
+        return self._format(self._topk(cand, scores, k), decorate)
+
+    def _span_chains(self, terms: list[str], m: int, accept) -> np.ndarray:
+        """Local ids (ascending) of the docs holding every one of
+        ``terms`` where some in-order chain over the first ``m`` terms is
+        accepted. Candidates are the intersection of the terms' doc sets;
+        within one, each occurrence ``p1`` of ``terms[0]`` starts a greedy
+        searchsorted chain (each next term's minimal position after the
+        previous one), and ``accept(p1, end, plists)`` judges the chain
+        ending at ``end`` (``plists``: the doc's ascending positions per
+        term)."""
         occ = {t: self._phrase_occurrences(t) for t in set(terms)}
-        # candidate docs: intersection of the terms' doc sets
         cand = None
         for t in set(terms):
             d = np.unique(occ[t][0])
             cand = d if cand is None else np.intersect1d(
-                cand, d, assume_unique=True
-            )
-        if cand is None or len(cand) == 0:
-            return []
-        m = len(terms)
+                cand, d, assume_unique=True)
         match = []
         for doc in cand:
-            # per-term ascending position lists for this doc
             plists = []
             for t in terms:
                 d, p = occ[t]
                 lo = int(np.searchsorted(d, doc, "left"))
                 hi = int(np.searchsorted(d, doc, "right"))
                 plists.append(p[lo:hi])
-            ok = False
             for p1 in plists[0]:
-                prev = p1
-                feasible = True
-                for pl in plists[1:]:
+                prev = int(p1)
+                for pl in plists[1:m]:
                     j = int(np.searchsorted(pl, prev, "right"))
                     if j >= len(pl):
-                        feasible = False
+                        break  # no chain from this start
+                    prev = int(pl[j])
+                else:
+                    if accept(int(p1), prev, plists):
+                        match.append(int(doc))
                         break
-                    prev = int(pl[j])  # greedy: minimal next position
-                if feasible and (prev - int(p1) - (m - 1)) <= slop:
-                    ok = True
-                    break
-            if ok:
-                match.append(int(doc))
-        if not match:
-            return []
-        match = np.asarray(match, dtype=np.int64)
-        scores = np.zeros(len(match), dtype=np.float64)
-        for t in sorted(set(terms)):
-            ids, w = self._term_contribution(t)
-            loc = np.searchsorted(ids, match)
-            okm = (loc < len(ids)) & (ids[np.minimum(loc, len(ids) - 1)] == match)
-            scores[okm] += w[loc[okm]]
-        fm = self._live_mask(filter)
-        if fm is not None:
-            keep = fm[match]
-            match, scores = match[keep], scores[keep]
-        order = np.lexsort((match, -scores))[: min(k, len(match))]
-        return self._format(
-            [(int(match[i]) + self.doc_lo, float(scores[i]))
-             for i in order], decorate
-        )
+        return np.asarray(match, dtype=np.int64)
 
     def span_first(
         self,
@@ -2273,20 +2200,8 @@ class Searcher:
             return []
         d, p = self._phrase_occurrences(term)
         match = np.unique(d[p + 1 <= int(end)])
-        if len(match) == 0:
-            return []
-        ids, w = self._term_contribution(term)
-        loc = np.searchsorted(ids, match)
-        scores = w[loc]  # match ⊆ ids: every match doc holds the term
-        fm = self._live_mask(filter)
-        if fm is not None:
-            keep = fm[match]
-            match, scores = match[keep], scores[keep]
-        order = np.lexsort((match, -scores))[: min(k, len(match))]
-        return self._format(
-            [(int(match[i]) + self.doc_lo, float(scores[i]))
-             for i in order], decorate
-        )
+        cand, scores = self._score_matches(match, [term], filter)
+        return self._format(self._topk(cand, scores, k), decorate)
 
     def span_containing(
         self,
@@ -2324,67 +2239,24 @@ class Searcher:
         if any(t not in self.postings or not self.owns_term(t)
                for t in terms):
             return []
-        occ = {t: self._phrase_occurrences(t) for t in set(terms)}
-        cand = None
-        for t in set(terms):
-            d = np.unique(occ[t][0])
-            cand = d if cand is None else np.intersect1d(
-                cand, d, assume_unique=True)
-        if cand is None or len(cand) == 0:
-            return []
         m = len(big)
-        match = []
-        for doc in cand:
-            plists = []
-            for t in terms:  # big terms then little, this doc's positions
-                d, p = occ[t]
-                lo = int(np.searchsorted(d, doc, "left"))
-                hi = int(np.searchsorted(d, doc, "right"))
-                plists.append(p[lo:hi])
-            lit = plists[-1]
-            last = plists[m - 1]
-            ok = False
-            for p1 in plists[0]:
-                prev = int(p1)
-                feasible = True
-                for pl in plists[1:m]:
-                    j = int(np.searchsorted(pl, prev, "right"))
-                    if j >= len(pl):
-                        feasible = False
-                        break
-                    prev = int(pl[j])
-                bound = int(p1) + slop + (m - 1)
-                if not feasible or prev > bound:
-                    continue
-                # largest feasible window end from this start
-                j = int(np.searchsorted(last, bound, "right")) - 1
-                e_max = int(last[j])  # >= prev == e_min by construction
-                # any little occurrence inside [p1, e_max]?
-                lo = int(np.searchsorted(lit, int(p1), "left"))
-                if lo < len(lit) and int(lit[lo]) <= e_max:
-                    ok = True
-                    break
-            if ok:
-                match.append(int(doc))
-        if not match:
-            return []
-        match = np.asarray(match, dtype=np.int64)
-        scores = np.zeros(len(match), dtype=np.float64)
-        sterms = sorted(set(big)) if score == "big" else [little]
-        for t in sterms:
-            ids, w = self._term_contribution(t)
-            loc = np.searchsorted(ids, match)
-            okm = (loc < len(ids)) & \
-                (ids[np.minimum(loc, len(ids) - 1)] == match)
-            scores[okm] += w[loc[okm]]
-        fm = self._live_mask(filter)
-        if fm is not None:
-            keep = fm[match]
-            match, scores = match[keep], scores[keep]
-        order = np.lexsort((match, -scores))[: min(k, len(match))]
-        return self._format(
-            [(int(match[i]) + self.doc_lo, float(scores[i]))
-             for i in order], decorate)
+
+        def contains(p1, end, plists):
+            bound = p1 + slop + (m - 1)
+            if end > bound:
+                return False
+            # largest feasible window end from this start (>= end, the
+            # minimal one, by construction)
+            last, lit = plists[m - 1], plists[-1]
+            e_max = int(last[int(np.searchsorted(last, bound, "right")) - 1])
+            # any little occurrence inside [p1, e_max]?
+            lo = int(np.searchsorted(lit, p1, "left"))
+            return lo < len(lit) and int(lit[lo]) <= e_max
+
+        match = self._span_chains(terms, m, contains)
+        cand, scores = self._score_matches(
+            match, big if score == "big" else [little], filter)
+        return self._format(self._topk(cand, scores, k), decorate)
 
     def span_not(
         self,
@@ -2422,19 +2294,8 @@ class Searcher:
         else:
             keep = np.ones(len(d_i), dtype=bool)
         match = np.unique(d_i[keep])
-        if len(match) == 0:
-            return []
-        ids, w = self._term_contribution(include)
-        scores = w[np.searchsorted(ids, match)]  # match ⊆ ids
-        fm = self._live_mask(filter)
-        if fm is not None:
-            ok = fm[match]
-            match, scores = match[ok], scores[ok]
-        order = np.lexsort((match, -scores))[: min(k, len(match))]
-        return self._format(
-            [(int(match[i]) + self.doc_lo, float(scores[i]))
-             for i in order], decorate
-        )
+        cand, scores = self._score_matches(match, [include], filter)
+        return self._format(self._topk(cand, scores, k), decorate)
 
     def search_collapse(
         self,
