@@ -9,8 +9,9 @@ halves natively on Ray Data:
 - ingest/extract  -> ``ray.data.read_parquet`` + ``map_batches`` over
   zero-copy Arrow batches (reference: commands/export.go:40-89),
 - index build     -> SPIMI-style per-partition partial postings, a salted
-  ``groupby(term)`` merge shuffle, delta+varbyte-compressed block-max
-  posting chunks (what Elasticsearch/Lucene did for the reference),
+  ``groupby(term)`` merge shuffle, delta+varbyte-compressed posting
+  chunks of doc ids and tfs, each doc's length stored once in the docs
+  sidecar (what Elasticsearch/Lucene did for the reference),
 - query serving   -> actor pool holding dictionary + posting shards,
   exact top-k BM25 (k1=1.2, b=0.75) via term-level MaxScore over cached
   decoded impacts, dense weight vectors for head terms

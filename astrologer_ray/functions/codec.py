@@ -1,4 +1,4 @@
-"""Delta + varbyte posting-list codec with block-max metadata.
+"""Delta + varbyte posting-list codec.
 
 This is the index-storage half the reference delegated to Elasticsearch /
 Lucene (the reference only ships NDJSON to ``_bulk``,
@@ -7,13 +7,12 @@ Lucene (the reference only ships NDJSON to ``_bulk``,
 - **varbyte**: LEB128-style 7-bits-per-byte little-endian, continuation bit
   0x80. Encode and decode are pure numpy (no per-value Python loop).
 - **chunk**: one (term, doc_id-range) slice of a posting list. Postings are
-  doc_id-sorted; ids are delta-encoded with an *absolute restart at every
-  block boundary* (block = 128 postings), so any block decodes independently.
-  Three parallel varbyte streams per chunk: ids (delta), tf, dl. Per-block
-  metadata: last doc_id (skip pointer), byte offsets into each stream, and
-  the exact max BM25 tf-norm ``tf/(tf+k1*(1-b+b*dl/avgdl))`` (float64), so
-  the block's score upper bound is ``idf*(k1+1)*block_max_tfn``. The
-  searcher does not skip blocks: it decodes whole chunks and bounds a term
+  doc_id-sorted; ids are delta-encoded with an absolute restart every
+  ``BLOCK`` (128) postings. Two parallel varbyte streams per chunk: ids
+  (delta) and tf, plus a token-position stream on a positional build. A
+  chunk stores no doc lengths and no per-block metadata: BM25 reads each
+  doc's length once from the docs sidecar's ``dl`` column (how Lucene
+  stores norms), and the searcher decodes whole chunks and bounds a term
   by the max of its decoded weights (state/searcher.py).
 
 Chunks are keyed by ``chunk_id = doc_id >> CHUNK_BITS`` (a doc_id *range*,
@@ -102,159 +101,78 @@ def varbyte_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndar
     return vals
 
 
-def _delta_with_block_restarts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ids (sorted int64) -> (vals to varbyte-encode, block start indices)."""
-    n = len(ids)
-    block_starts = np.arange(0, n, BLOCK, dtype=np.int64)
-    vals = np.empty(n, dtype=np.uint64)
-    if n:
-        vals[0] = ids[0]
-        vals[1:] = np.diff(ids).astype(np.uint64)
-        vals[block_starts] = ids[block_starts].astype(np.uint64)
-    return vals, block_starts
-
-
-def _per_value_nbytes(v: np.ndarray) -> np.ndarray:
-    nb = np.ones(len(v), dtype=np.int64)
-    for k in range(1, 10):
-        nb += (v >= np.uint64(1) << np.uint64(7 * k)).astype(np.int64)
-    return nb
-
-
-def encode_chunk(
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    dls: np.ndarray,
-    avgdl: float,
-    k1: float = 1.2,
-    b: float = 0.75,
-) -> dict:
-    """Encode one doc_id-sorted posting chunk -> a dict of parquet cell values."""
-    n = len(doc_ids)
-    assert n > 0
-    ids = np.asarray(doc_ids, dtype=np.int64)
-    assert bool(np.all(np.diff(ids) > 0)), "doc_ids must be strictly increasing"
-    tfs = np.asarray(tfs, dtype=np.uint64)
-    dls = np.asarray(dls, dtype=np.uint64)
-
-    vals, block_starts = _delta_with_block_restarts(ids)
-    id_nb = _per_value_nbytes(vals)
-    tf_nb = _per_value_nbytes(tfs)
-    dl_nb = _per_value_nbytes(dls)
-    id_off = np.concatenate(([0], np.cumsum(id_nb)))[block_starts]
-    tf_off = np.concatenate(([0], np.cumsum(tf_nb)))[block_starts]
-    dl_off = np.concatenate(([0], np.cumsum(dl_nb)))[block_starts]
-
-    block_ends = np.minimum(block_starts + BLOCK, n)
-    block_last = ids[block_ends - 1]
-
-    # exact BM25 tf-norm upper bound per block (float64, same formula as scoring)
-    tf_f = tfs.astype(np.float64)
-    dl_f = dls.astype(np.float64)
-    tfn = tf_f / (tf_f + k1 * (1.0 - b + b * dl_f / avgdl))
-    block_max_tfn = np.maximum.reduceat(tfn, block_starts)
-
-    return {
-        "n": n,
-        "first_doc_id": int(ids[0]),
-        "last_doc_id": int(ids[-1]),
-        "ids_bytes": varbyte_encode(vals),
-        "tf_bytes": varbyte_encode(tfs),
-        "dl_bytes": varbyte_encode(dls),
-        "block_last": block_last.tolist(),
-        "block_ids_off": id_off.astype(np.int64).tolist(),
-        "block_tf_off": tf_off.astype(np.int64).tolist(),
-        "block_dl_off": dl_off.astype(np.int64).tolist(),
-        "block_max_tfn": block_max_tfn.tolist(),
-        "sum_tf": int(tfs.sum()),
-    }
-
-
-def _varbyte_encode_with_sizes(v: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """varbyte_encode + per-value byte counts (for slicing a shared stream)."""
+def _varbyte_stream(v: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """varbyte_encode + the byte bounds of every value (int64, len n+1:
+    value ``i`` is ``out[bounds[i]:bounds[i+1]]``), for slicing one shared
+    stream into per-chunk cells."""
     v = np.asarray(v, dtype=np.uint64)
     if len(v) == 0:
-        return b"", np.zeros(0, dtype=np.int64)
+        return b"", np.zeros(1, dtype=np.int64)
     out, nb = _varbyte_core(v)
-    return out.tobytes(), nb
+    return out.tobytes(), np.concatenate(([0], np.cumsum(nb)))
 
 
-def _encode_runs_core(
-    vals_doc: np.ndarray,
-    vals_tf: np.ndarray,
-    vals_dl: np.ndarray,
-    run_starts: np.ndarray,
-    run_ends: np.ndarray,
-    avgdl: float,
-    k1: float,
-    b: float,
-) -> dict:
-    """Shared vectorized core for the run-batch encoders: ONE delta+varbyte
-    pass over the concatenated values plus all per-block metadata. Returns
-    the flat arrays both assembly styles (row dicts / Arrow columns) slice."""
-    total = len(vals_doc)
+def _encode_runs_core(vals_doc: np.ndarray, vals_tf: np.ndarray,
+                      run_starts: np.ndarray, run_ends: np.ndarray) -> dict:
+    """Shared vectorized core of the run encoders: ONE delta+varbyte pass
+    over the concatenated values of runs that tile them
+    (``run_starts[0] == 0``, ``run_ends[-1] == len``, adjacent). Returns
+    the flat streams and bounds both assembly styles (row dicts / Arrow
+    columns) slice."""
     ids = np.asarray(vals_doc, dtype=np.int64)
     tfs = np.asarray(vals_tf, dtype=np.uint64)
-    dls = np.asarray(vals_dl, dtype=np.uint64)
     run_starts = np.asarray(run_starts, dtype=np.int64)
     run_ends = np.asarray(run_ends, dtype=np.int64)
-    run_lens = run_ends - run_starts
-
-    # global block starts: every run restarts; blocks of BLOCK within runs
-    blocks_per_run = (run_lens + BLOCK - 1) // BLOCK
-    nblocks = int(blocks_per_run.sum())
-    # block index within its run:
-    bwr = np.arange(nblocks, dtype=np.int64) - np.repeat(
-        np.cumsum(blocks_per_run) - blocks_per_run, blocks_per_run
-    )
-    block_starts = np.repeat(run_starts, blocks_per_run) + bwr * BLOCK
-    block_ends = np.minimum(block_starts + BLOCK, np.repeat(run_ends, blocks_per_run))
-
-    vals_delta = np.empty(total, dtype=np.uint64)
-    vals_delta[1:] = np.diff(ids).astype(np.uint64)
-    vals_delta[0] = ids[0]
-    vals_delta[block_starts] = ids[block_starts].astype(np.uint64)
-    # correctness: within a block, doc_ids must be strictly increasing
-    chk = np.ones(total, dtype=bool)
-    chk[block_starts] = False
-    assert bool(np.all(vals_delta[chk] >= 1)), "doc_ids not strictly increasing"
-
-    id_bytes, id_nb = _varbyte_encode_with_sizes(vals_delta)
-    tf_bytes, tf_nb = _varbyte_encode_with_sizes(tfs)
-    dl_bytes, dl_nb = _varbyte_encode_with_sizes(dls)
-    id_off = np.concatenate(([0], np.cumsum(id_nb)))
-    tf_off = np.concatenate(([0], np.cumsum(tf_nb)))
-    dl_off = np.concatenate(([0], np.cumsum(dl_nb)))
-
-    tf_f = tfs.astype(np.float64)
-    dl_f = dls.astype(np.float64)
-    tfn = tf_f / (tf_f + k1 * (1.0 - b + b * dl_f / avgdl))
-    block_max_tfn = np.maximum.reduceat(tfn, block_starts)
-    block_last = ids[block_ends - 1]
-
-    # per-run cumulative tf for sum_tf: one cumsum + slicing
-    ctf = np.concatenate(([0], np.cumsum(tfs.astype(np.int64))))
+    assert run_starts[0] == 0 and run_ends[-1] == len(ids)
+    assert bool(np.all(run_starts[1:] == run_ends[:-1])), "runs must tile"
+    # position of every posting inside its run: restart at each run start
+    # and every BLOCK postings after it
+    within = np.arange(len(ids), dtype=np.int64) - np.repeat(
+        run_starts, run_ends - run_starts)
+    gaps = np.diff(ids, prepend=ids[:1])
+    assert bool(np.all(gaps[within > 0] > 0)), \
+        "doc_ids must be strictly increasing within a run"
+    vals = np.where(within % BLOCK == 0, ids, gaps).astype(np.uint64)
+    id_bytes, id_off = _varbyte_stream(vals)
+    tf_bytes, tf_off = _varbyte_stream(tfs)
     return {
         "ids": ids, "run_starts": run_starts, "run_ends": run_ends,
-        "run_lens": run_lens, "blocks_per_run": blocks_per_run,
-        "block_starts": block_starts, "id_bytes": id_bytes,
-        "tf_bytes": tf_bytes, "dl_bytes": dl_bytes, "id_off": id_off,
-        "tf_off": tf_off, "dl_off": dl_off, "block_max_tfn": block_max_tfn,
-        "block_last": block_last, "ctf": ctf,
+        "id_bytes": id_bytes, "id_off": id_off,
+        "tf_bytes": tf_bytes, "tf_off": tf_off,
+        # cumulative tf: per-run sum_tf, and the position-stream split key
+        "ctf": np.concatenate(([0], np.cumsum(tfs.astype(np.int64)))),
     }
+
+
+def _core_rows(c: dict) -> list[dict]:
+    """One cell dict per run of an :func:`_encode_runs_core` result."""
+    ids, id_off, tf_off, ctf = c["ids"], c["id_off"], c["tf_off"], c["ctf"]
+    return [
+        {
+            "n": e - s,
+            "first_doc_id": int(ids[s]),
+            "last_doc_id": int(ids[e - 1]),
+            "ids_bytes": c["id_bytes"][id_off[s]:id_off[e]],
+            "tf_bytes": c["tf_bytes"][tf_off[s]:tf_off[e]],
+            "sum_tf": int(ctf[e] - ctf[s]),
+        }
+        for s, e in zip(c["run_starts"].tolist(), c["run_ends"].tolist())
+    ]
+
+
+def encode_chunk(doc_ids: np.ndarray, tfs: np.ndarray) -> dict:
+    """Encode one doc_id-sorted posting chunk -> a dict of parquet cell values."""
+    assert len(doc_ids) > 0
+    return encode_chunks_batch(doc_ids, tfs, [0], [len(doc_ids)])[0]
 
 
 def encode_chunks_batch(
     vals_doc: np.ndarray,
     vals_tf: np.ndarray,
-    vals_dl: np.ndarray,
     run_starts: np.ndarray,
     run_ends: np.ndarray,
-    avgdl: float,
-    k1: float = 1.2,
-    b: float = 0.75,
 ) -> list[dict]:
-    """Encode MANY doc_id-sorted posting runs sharing flat value arrays.
+    """Encode MANY doc_id-sorted posting runs that tile flat value arrays.
 
     Equivalent to ``[encode_chunk(vals[s:e]...) for s, e in runs]`` but with
     ONE varbyte pass over the concatenated values — per-run numpy-kernel
@@ -262,42 +180,9 @@ def encode_chunks_batch(
     thousands of (term, chunk) runs. The final assembly per run is pure
     slicing of precomputed arrays/bytes.
     """
-    total = len(vals_doc)
-    if total == 0:
+    if len(vals_doc) == 0:
         return []
-    c = _encode_runs_core(vals_doc, vals_tf, vals_dl, run_starts, run_ends,
-                          avgdl, k1, b)
-    ids, run_starts, run_ends = c["ids"], c["run_starts"], c["run_ends"]
-    blocks_per_run, block_starts = c["blocks_per_run"], c["block_starts"]
-    id_bytes, tf_bytes, dl_bytes = c["id_bytes"], c["tf_bytes"], c["dl_bytes"]
-    id_off, tf_off, dl_off = c["id_off"], c["tf_off"], c["dl_off"]
-    block_max_tfn, block_last, ctf = c["block_max_tfn"], c["block_last"], c["ctf"]
-    n_runs = len(run_starts)
-
-    rows: list[dict] = []
-    bpos = 0
-    for r in range(n_runs):
-        s, e = int(run_starts[r]), int(run_ends[r])
-        nb_r = int(blocks_per_run[r])
-        bs, be = bpos, bpos + nb_r
-        rows.append(
-            {
-                "n": e - s,
-                "first_doc_id": int(ids[s]),
-                "last_doc_id": int(ids[e - 1]),
-                "ids_bytes": id_bytes[id_off[s]:id_off[e]],
-                "tf_bytes": tf_bytes[tf_off[s]:tf_off[e]],
-                "dl_bytes": dl_bytes[dl_off[s]:dl_off[e]],
-                "block_last": block_last[bs:be].tolist(),
-                "block_ids_off": (id_off[block_starts[bs:be]] - id_off[s]).tolist(),
-                "block_tf_off": (tf_off[block_starts[bs:be]] - tf_off[s]).tolist(),
-                "block_dl_off": (dl_off[block_starts[bs:be]] - dl_off[s]).tolist(),
-                "block_max_tfn": block_max_tfn[bs:be].tolist(),
-                "sum_tf": int(ctf[e] - ctf[s]),
-            }
-        )
-        bpos = be
-    return rows
+    return _core_rows(_encode_runs_core(vals_doc, vals_tf, run_starts, run_ends))
 
 
 def _bin_from_stream(data: bytes, bounds: np.ndarray) -> pa.Array:
@@ -313,12 +198,8 @@ def _bin_from_stream(data: bytes, bounds: np.ndarray) -> pa.Array:
 def encode_chunks_table(
     vals_doc: np.ndarray,
     vals_tf: np.ndarray,
-    vals_dl: np.ndarray,
     run_starts: np.ndarray,
     run_ends: np.ndarray,
-    avgdl: float,
-    k1: float = 1.2,
-    b: float = 0.75,
     *,
     terms: pa.Array,
     chunk_ids: np.ndarray,
@@ -327,85 +208,57 @@ def encode_chunks_table(
 ) -> pa.Table:
     """Columnar twin of :func:`encode_chunks_batch`: same cell values, but
     the output is assembled directly as Arrow arrays — binary columns as
-    offset views over the three shared varbyte streams, list columns from
-    the flat per-block arrays — with no per-run Python loop and no
-    ``from_pylist``. Runs must tile the flat value arrays contiguously
-    (``run_starts[0]==0``, ``run_ends[-1]==len``, adjacent), which is how
-    the postings merge produces them. Returns a POSTINGS_SCHEMA table.
+    offset views over the shared varbyte streams — with no per-run Python
+    loop and no ``from_pylist``. ``pos_vals`` (a positional build) are
+    every posting's ascending token positions, ``tf`` of them per posting
+    in posting order. Returns a POSTINGS_SCHEMA(_POS) table.
 
-    Falls back to the row-dict path if a byte stream exceeds int32 offsets
+    Falls back to row dicts if a byte stream exceeds int32 offsets
     (>2 GiB per merge bucket — split the bucket instead of hitting this).
     """
-    total = len(vals_doc)
-    run_starts = np.asarray(run_starts, dtype=np.int64)
-    run_ends = np.asarray(run_ends, dtype=np.int64)
-    n_runs = len(run_starts)
     out_schema = POSTINGS_SCHEMA if pos_vals is None else POSTINGS_SCHEMA_POS
-    if total == 0 or n_runs == 0:
+    if len(vals_doc) == 0 or len(run_starts) == 0:
         return out_schema.empty_table()
-    assert run_starts[0] == 0 and run_ends[-1] == total
-    assert bool(np.all(run_starts[1:] == run_ends[:-1])), "runs must tile"
-
-    c = _encode_runs_core(vals_doc, vals_tf, vals_dl, run_starts, run_ends,
-                          avgdl, k1, b)
+    c = _encode_runs_core(vals_doc, vals_tf, run_starts, run_ends)
+    run_starts, run_ends, ctf = c["run_starts"], c["run_ends"], c["ctf"]
+    run_bounds = np.concatenate((run_starts, run_ends[-1:]))
+    streams = [(c["id_bytes"], c["id_off"][run_bounds]),
+               (c["tf_bytes"], c["tf_off"][run_bounds])]
     if pos_vals is not None:
-        # 4th stream: each posting's ascending token positions, varbyte,
-        # posting i's occurrence slice = ctf[i]:ctf[i+1] (counts == tf) —
-        # chunk boundaries follow from the same cumulative-tf array
-        assert len(pos_vals) == int(c["ctf"][-1]), "positions != sum(tf)"
-        pos_bytes, pos_nb = _varbyte_encode_with_sizes(pos_vals)
-        pos_off = np.concatenate(([0], np.cumsum(pos_nb)))
-    if max(len(c["id_bytes"]), len(c["tf_bytes"]), len(c["dl_bytes"]),
-           0 if pos_vals is None else len(pos_bytes)) >= 2**31:
-        rows = encode_chunks_batch(vals_doc, vals_tf, vals_dl, run_starts,
-                                   run_ends, avgdl, k1, b)
+        # posting i's occurrence slice is ctf[i]:ctf[i+1] (counts == tf),
+        # so chunk boundaries follow from the same cumulative-tf array
+        assert len(pos_vals) == int(ctf[-1]), "positions != sum(tf)"
+        pos_bytes, pos_off = _varbyte_stream(pos_vals)
+        streams.append((pos_bytes, pos_off[ctf[run_bounds]]))
+    if max(len(data) for data, _ in streams) >= 2**31:
+        rows = _core_rows(c)
         tl = terms.to_pylist()
         for i, row in enumerate(rows):
-            row["term"] = tl[i]
-            row["chunk_id"] = int(chunk_ids[i])
-            row["shard"] = shard
+            row.update(term=tl[i], chunk_id=int(chunk_ids[i]), shard=shard)
             if pos_vals is not None:
-                os_, oe = int(c["ctf"][run_starts[i]]), int(c["ctf"][run_ends[i]])
-                row["pos_bytes"] = pos_bytes[pos_off[os_]:pos_off[oe]]
+                data, bounds = streams[2]
+                row["pos_bytes"] = data[bounds[i]:bounds[i + 1]]
         return pa.Table.from_pylist(rows, schema=out_schema)
 
     ids = c["ids"]
-    bpr = c["blocks_per_run"]
-    bs = c["block_starts"]
-    id_off, tf_off, dl_off = c["id_off"], c["tf_off"], c["dl_off"]
-    run_bounds = np.concatenate((run_starts, run_ends[-1:]))
-    # per-run-relative block offsets: block offset minus its run's start
-    rep_rs = np.repeat(run_starts, bpr)
-    list_off = np.concatenate(([0], np.cumsum(bpr))).astype(np.int32)
-
-    def _list(vals: np.ndarray, typ) -> pa.ListArray:
-        return pa.ListArray.from_arrays(pa.array(list_off, pa.int32()),
-                                        pa.array(vals, typ))
-
     cols = [
         terms,
         pa.array(np.asarray(chunk_ids, dtype=np.int64)),
-        pa.array(np.full(n_runs, shard, dtype=np.int32)),
-        pa.array(c["run_lens"]),
+        pa.array(np.full(len(run_starts), shard, dtype=np.int32)),
+        pa.array(run_ends - run_starts),
         pa.array(ids[run_starts]),
         pa.array(ids[run_ends - 1]),
-        _bin_from_stream(c["id_bytes"], id_off[run_bounds]),
-        _bin_from_stream(c["tf_bytes"], tf_off[run_bounds]),
-        _bin_from_stream(c["dl_bytes"], dl_off[run_bounds]),
-        _list(c["block_last"], pa.int64()),
-        _list(id_off[bs] - id_off[rep_rs], pa.int64()),
-        _list(tf_off[bs] - tf_off[rep_rs], pa.int64()),
-        _list(dl_off[bs] - dl_off[rep_rs], pa.int64()),
-        _list(c["block_max_tfn"], pa.float64()),
-        pa.array(c["ctf"][run_ends] - c["ctf"][run_starts]),
+        _bin_from_stream(*streams[0]),
+        _bin_from_stream(*streams[1]),
+        pa.array(ctf[run_ends] - ctf[run_starts]),
     ]
     if pos_vals is not None:
-        cols.append(_bin_from_stream(pos_bytes, pos_off[c["ctf"][run_bounds]]))
+        cols.append(_bin_from_stream(*streams[2]))
     return pa.Table.from_arrays(cols, schema=out_schema)
 
 
-def decode_chunk(row: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full decode of one chunk row -> (doc_ids int64, tfs int64, dls int64)."""
+def decode_chunk(row: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Full decode of one chunk row -> (doc_ids int64, tfs int64)."""
     n = int(row["n"])
     vals = varbyte_decode(row["ids_bytes"], n).astype(np.int64)
     # cumsum with a reset at every absolute-restart block boundary: subtract,
@@ -417,27 +270,15 @@ def decode_chunk(row: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sizes = np.diff(np.concatenate((block_starts, [n])))
     ids = c - np.repeat(bases, sizes)
     tfs = varbyte_decode(row["tf_bytes"], n).astype(np.int64)
-    dls = varbyte_decode(row["dl_bytes"], n).astype(np.int64)
-    return ids, tfs, dls
+    return ids, tfs
 
 
-def decode_block(row: dict, bi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode a single 128-posting block of a chunk (independent restart)."""
-    n = int(row["n"])
-    nblocks = (n + BLOCK - 1) // BLOCK
+def decode_block(row: dict, bi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``bi``-th 128-posting block of a chunk: a slice of
+    :func:`decode_chunk` (chunks keep no per-block byte offsets)."""
+    ids, tfs = decode_chunk(row)
     s = bi * BLOCK
-    cnt = min(BLOCK, n - s)
-    id_off = row["block_ids_off"]
-    tf_off = row["block_tf_off"]
-    dl_off = row["block_dl_off"]
-    id_end = id_off[bi + 1] if bi + 1 < nblocks else len(row["ids_bytes"])
-    tf_end = tf_off[bi + 1] if bi + 1 < nblocks else len(row["tf_bytes"])
-    dl_end = dl_off[bi + 1] if bi + 1 < nblocks else len(row["dl_bytes"])
-    vals = varbyte_decode(row["ids_bytes"][id_off[bi]:id_end], cnt)
-    ids = np.cumsum(vals).astype(np.int64)
-    tfs = varbyte_decode(row["tf_bytes"][tf_off[bi]:tf_end], cnt).astype(np.int64)
-    dls = varbyte_decode(row["dl_bytes"][dl_off[bi]:dl_end], cnt).astype(np.int64)
-    return ids, tfs, dls
+    return ids[s:s + BLOCK], tfs[s:s + BLOCK]
 
 
 POSTINGS_SCHEMA = pa.schema(
@@ -450,12 +291,6 @@ POSTINGS_SCHEMA = pa.schema(
         ("last_doc_id", pa.int64()),
         ("ids_bytes", pa.binary()),
         ("tf_bytes", pa.binary()),
-        ("dl_bytes", pa.binary()),
-        ("block_last", pa.list_(pa.int64())),
-        ("block_ids_off", pa.list_(pa.int64())),
-        ("block_tf_off", pa.list_(pa.int64())),
-        ("block_dl_off", pa.list_(pa.int64())),
-        ("block_max_tfn", pa.list_(pa.float64())),
         ("sum_tf", pa.int64()),
     ]
 )

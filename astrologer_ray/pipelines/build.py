@@ -15,11 +15,12 @@ reference delegated to Elasticsearch. Stages (SURVEY §7 build order):
    shared storage (external shuffle): stage 1 wrote each partition's packed
    postings with one parquet row group per term-hash bucket, so merge task
    *b* selectively reads bucket *b* from every partition, joins ``lrow ->
-   (doc_id, dl)`` against the broadcast keymap, range-salts every term by
+   doc_id`` against the broadcast keymap, range-salts every term by
    ``chunk_id = doc_id >> chunk_bits`` (a Zipf-head term becomes many
    independently-encoded doc_id-range chunks that concatenate in order —
    SURVEY §4 skew row), and encodes all runs in one vectorized
-   delta+varbyte pass (``encode_chunks_batch``).
+   delta+varbyte pass (``encode_chunks_table``). Doc lengths stay in the
+   docs sidecar, once per doc; postings carry only ids and tfs.
 4. **Dictionary** — tiny groupby over chunk summaries: df, cf.
 5. **Stats / lineage** — meta.json (N, avgdl, …), per-partition metrics
    parquet, _SUCCESS marker.
@@ -45,7 +46,6 @@ from astrologer_ray import B, K1
 from astrologer_ray.functions.codec import (
     POSTINGS_SCHEMA,
     POSTINGS_SCHEMA_POS,
-    encode_chunks_batch,
     encode_chunks_table,
 )
 from astrologer_ray.stages.spimi import (
@@ -159,16 +159,15 @@ def _assign_doc_ids_driver(partial_docs: list[str], docs_dir: str,
         os.makedirs(keymap_dir, exist_ok=True)
         lrow = np.asarray(out.column("lrow"))
         doc_id = np.asarray(out.column("doc_id"))
-        dl = np.asarray(out.column("dl"))
         pid = (lrow >> LROW_BITS).astype(np.int64)
         order = np.lexsort((lrow, pid))
-        lrow, doc_id, dl, pid = lrow[order], doc_id[order], dl[order], pid[order]
+        lrow, doc_id, pid = lrow[order], doc_id[order], pid[order]
         starts = np.concatenate(([0], np.flatnonzero(np.diff(pid)) + 1, [len(pid)]))
 
         def _write_km(se: tuple[int, int]) -> None:
             s, e = se
             pq.write_table(
-                pa.table({"lrow": lrow[s:e], "doc_id": doc_id[s:e], "dl": dl[s:e]}),
+                pa.table({"lrow": lrow[s:e], "doc_id": doc_id[s:e]}),
                 os.path.join(keymap_dir, f"keymap-{int(pid[s]):06d}.parquet"),
             )
 
@@ -274,7 +273,7 @@ def _assign_doc_ids(partials_dir: str, docs_dir: str, parallelism: int,
 
 def _write_keymap(docs_dir: str, keymap_dir: str, parallelism: int,
                   driver_threshold: int = 2_000_000) -> None:
-    """Stage 2.5: re-key (lrow -> doc_id, dl) by source partition id.
+    """Stage 2.5: re-key (lrow -> doc_id) by source partition id.
 
     The postings join key ``lrow`` is partition-local by construction
     (lrow >> LROW_BITS == part_id), so instead of hash-joining the BIG
@@ -297,16 +296,15 @@ def _write_keymap(docs_dir: str, keymap_dir: str, parallelism: int,
                              "n": pa.array([], pa.int64())})
         lrow = np.asarray(t.column("lrow"))
         doc_id = np.asarray(t.column("doc_id"))
-        dl = np.asarray(t.column("dl"))
         pid = (lrow >> LROW_BITS).astype(np.int64)
         order = np.lexsort((lrow, pid))
-        lrow, doc_id, dl, pid = lrow[order], doc_id[order], dl[order], pid[order]
+        lrow, doc_id, pid = lrow[order], doc_id[order], pid[order]
         starts = np.concatenate(([0], np.flatnonzero(np.diff(pid)) + 1, [len(pid)]))
         out = []
         for s, e in zip(starts[:-1], starts[1:]):
             p = int(pid[s])
             pq.write_table(
-                pa.table({"lrow": lrow[s:e], "doc_id": doc_id[s:e], "dl": dl[s:e]}),
+                pa.table({"lrow": lrow[s:e], "doc_id": doc_id[s:e]}),
                 os.path.join(keymap_dir, f"keymap-{p:06d}.parquet"),
             )
             out.append({"pid": p, "n": int(e - s)})
@@ -314,14 +312,14 @@ def _write_keymap(docs_dir: str, keymap_dir: str, parallelism: int,
 
     if total <= driver_threshold:
         t = pa.concat_tables(
-            pq.read_table(p, columns=["lrow", "doc_id", "dl"]) for p in files
+            pq.read_table(p, columns=["lrow", "doc_id"]) for p in files
         )
         write_groups(t.combine_chunks())
         return
 
     import ray.data as rd
 
-    km = rd.read_parquet(files, columns=["lrow", "doc_id", "dl"])
+    km = rd.read_parquet(files, columns=["lrow", "doc_id"])
 
     def add_pid(t: pa.Table) -> pa.Table:
         pid = (np.asarray(t.column("lrow")) >> LROW_BITS).astype(np.int64)
@@ -333,21 +331,18 @@ def _write_keymap(docs_dir: str, keymap_dir: str, parallelism: int,
 
 
 def _merge_runs_collision(
-    terms_at, run_start, run_end, doc_vals, tf_vals, dl_vals, vstart, vend,
-    chunk_bits, avgdl, k1, b, shard, pos_all=None,
+    terms_at, run_start, run_end, doc_vals, tf_vals, vstart, vend,
+    chunk_bits, shard, pos_all=None,
 ) -> pa.Table:
     """Collision fallback for :func:`merge_bucket_table`: at least one pair
     of DISTINCT terms shares a 63-bit term_hash in this bucket
     (astronomically rare), so runs are split by actual term string in a
     per-run Python loop — correctness over speed on this path."""
-    from astrologer_ray.functions.codec import varbyte_encode
-
     with_pos = pos_all is not None
     if with_pos:
         occ_start = np.cumsum(tf_vals, dtype=np.int64) - tf_vals
-    seg_d, seg_f, seg_l, seg_p = [], [], [], []
-    seg_bounds = []  # (term, chunk_id, start, end) in output space
-    pos = 0
+    seg_d, seg_f, seg_p = [], [], []
+    seg_terms, seg_cids, seg_lens = [], [], []
     for i in range(len(run_start)):
         rs, re_ = int(run_start[i]), int(run_end[i])
         run_terms = terms_at.slice(rs, re_ - rs).to_pylist()
@@ -357,13 +352,12 @@ def _merge_runs_collision(
         for tstr, rows_j in sorted(by_term.items()):
             dd = np.concatenate([doc_vals[vstart[j]:vend[j]] for j in rows_j])
             ff = np.concatenate([tf_vals[vstart[j]:vend[j]] for j in rows_j])
-            ll = np.concatenate([dl_vals[vstart[j]:vend[j]] for j in rows_j])
             # global posting indices of this term's postings, pre-sort
             pidx = np.concatenate(
                 [np.arange(vstart[j], vend[j], dtype=np.int64) for j in rows_j]
             )
             oo = np.argsort(dd)
-            dd, ff, ll, pidx = dd[oo], ff[oo], ll[oo], pidx[oo]
+            dd, ff, pidx = dd[oo], ff[oo], pidx[oo]
             cids = dd >> chunk_bits
             cs = np.concatenate(
                 ([0], np.flatnonzero(np.diff(cids)) + 1, [len(dd)])
@@ -371,7 +365,6 @@ def _merge_runs_collision(
             for s_, e_ in zip(cs[:-1], cs[1:]):
                 seg_d.append(dd[s_:e_])
                 seg_f.append(ff[s_:e_])
-                seg_l.append(ll[s_:e_])
                 if with_pos:
                     seg_p.append(
                         np.concatenate(
@@ -379,25 +372,16 @@ def _merge_runs_collision(
                              for p in pidx[s_:e_]]
                         ) if e_ > s_ else np.empty(0, dtype=np.int64)
                     )
-                seg_bounds.append((tstr, int(cids[s_]), pos, pos + (e_ - s_)))
-                pos += e_ - s_
-    if not seg_bounds:
+                seg_terms.append(tstr)
+                seg_cids.append(int(cids[s_]))
+                seg_lens.append(e_ - s_)
+    if not seg_lens:
         return (POSTINGS_SCHEMA_POS if with_pos else POSTINGS_SCHEMA).empty_table()
-    flat_d = np.concatenate(seg_d)
-    flat_f = np.concatenate(seg_f)
-    flat_l = np.concatenate(seg_l)
-    starts = np.array([s_ for _, _, s_, _ in seg_bounds], dtype=np.int64)
-    ends = np.array([e_ for _, _, _, e_ in seg_bounds], dtype=np.int64)
-    rows = encode_chunks_batch(flat_d, flat_f, flat_l, starts, ends,
-                               avgdl, k1, b)
-    for i, ((term, cid, _, _), row) in enumerate(zip(seg_bounds, rows)):
-        row["term"] = term
-        row["chunk_id"] = cid
-        row["shard"] = shard
-        if with_pos:
-            row["pos_bytes"] = varbyte_encode(seg_p[i])
-    return pa.Table.from_pylist(
-        rows, schema=POSTINGS_SCHEMA_POS if with_pos else POSTINGS_SCHEMA
+    ends = np.cumsum(seg_lens)
+    return encode_chunks_table(
+        np.concatenate(seg_d), np.concatenate(seg_f), ends - seg_lens, ends,
+        terms=pa.array(seg_terms, pa.string()), chunk_ids=np.array(seg_cids),
+        shard=shard, pos_vals=np.concatenate(seg_p) if with_pos else None,
     )
 
 
@@ -405,13 +389,9 @@ def merge_bucket_table(
     t: pa.Table,
     km_lrow: np.ndarray,
     km_doc: np.ndarray,
-    km_dl: np.ndarray,
     *,
     shard: int,
     chunk_bits: int,
-    avgdl: float,
-    k1: float = K1,
-    b: float = B,
 ) -> pa.Table:
     """Merge ONE bucket's concatenated partial postings into encoded chunks.
 
@@ -448,7 +428,6 @@ def merge_bucket_table(
     idx = np.searchsorted(km_lrow, lrow_vals)
     assert bool(np.all(km_lrow[idx] == lrow_vals)), "keymap miss"
     doc_vals = km_doc[idx]
-    dl_vals = km_dl[idx]
 
     terms_at = t.column("term").combine_chunks()
     new_run = np.empty(n_rows, dtype=bool)
@@ -466,9 +445,8 @@ def merge_bucket_table(
             vstart = vend - lengths
             run_end = np.concatenate((run_start[1:], [n_rows]))
             return _merge_runs_collision(
-                terms_at, run_start, run_end, doc_vals, tf_vals, dl_vals,
-                vstart, vend, chunk_bits, avgdl, k1, b, shard,
-                pos_all=pos_all,
+                terms_at, run_start, run_end, doc_vals, tf_vals,
+                vstart, vend, chunk_bits, shard, pos_all=pos_all,
             )
 
     n_vals = len(doc_vals)
@@ -486,14 +464,12 @@ def merge_bucket_table(
         run_end = np.concatenate((run_start[1:], [n_rows]))
         d = np.empty_like(doc_vals)
         f = np.empty_like(tf_vals)
-        dl = np.empty_like(dl_vals)
         perm = np.empty(n_vals, dtype=np.int64)
         for rs, re_ in zip(run_start, run_end):
             s, e = int(vstart[rs]), int(vend[re_ - 1])
             o = np.argsort(doc_vals[s:e]) + s
             d[s:e] = doc_vals[o]
             f[s:e] = tf_vals[o]
-            dl[s:e] = dl_vals[o]
             perm[s:e] = o
         rv = run_of_val  # within-run sort: run labels unchanged
     else:
@@ -506,7 +482,6 @@ def merge_bucket_table(
             order2 = np.lexsort((doc_vals, run_of_val))
         d = doc_vals[order2]
         f = tf_vals[order2]
-        dl = dl_vals[order2]
         rv = run_of_val[order2]
         perm = order2
     pos_sorted = None
@@ -525,22 +500,20 @@ def merge_bucket_table(
     ends = np.concatenate((brk, [len(d)]))
     seg_terms = terms_at.take(pa.array(run_start[rv[starts]]))
     return encode_chunks_table(
-        d, f, dl, starts, ends, avgdl, k1, b,
+        d, f, starts, ends,
         terms=seg_terms, chunk_ids=cids[starts], shard=shard,
         pos_vals=pos_sorted,
     )
 
 
 def _read_keymap(files: list[str]):
-    """``(lrow, doc_id, dl)`` arrays from per-pid keymap files. Their lrow
+    """``(lrow, doc_id)`` arrays from per-pid keymap files. Their lrow
     ranges are disjoint and ascending in pid (= filename) order, so the
     concatenation is globally lrow-sorted."""
-    t = pa.concat_tables(pq.read_table(f) for f in sorted(files)).combine_chunks()
-    return (
-        np.asarray(t.column("lrow")),
-        np.asarray(t.column("doc_id")),
-        np.asarray(t.column("dl")).astype(np.int32),
-    )
+    t = pa.concat_tables(
+        pq.read_table(f, columns=["lrow", "doc_id"]) for f in sorted(files)
+    ).combine_chunks()
+    return np.asarray(t.column("lrow")), np.asarray(t.column("doc_id"))
 
 
 def merge_buckets(
@@ -551,14 +524,11 @@ def merge_buckets(
     keymap_dir: str,
     n_shards: int,
     chunk_bits: int,
-    avgdl: float,
-    k1: float,
-    b: float,
 ) -> None:
     """Stage-3 body: merge, encode and write every bucket named in ``batch``
     (one row per bucket: ``bucket``, ``files``, ``rgs``).
 
-    ``km`` is the keymap as ``(lrow, doc_id, dl)`` arrays, or None to read,
+    ``km`` is the keymap as ``(lrow, doc_id)`` arrays, or None to read,
     per bucket, only the keymap files of the partitions in that bucket (the
     shared-storage fallback for extreme doc counts).
     """
@@ -567,7 +537,7 @@ def merge_buckets(
     for desc in batch.to_pylist():
         _task0 = _t.monotonic()
         bucket = int(desc["bucket"])
-        km_lrow, km_doc, km_dl = km if km is not None else _read_keymap([
+        km_lrow, km_doc = km if km is not None else _read_keymap([
             os.path.join(keymap_dir,
                          os.path.basename(f).replace("post-", "keymap-", 1))
             for f in desc["files"]
@@ -579,8 +549,7 @@ def merge_buckets(
         # shard = bucket mod n_shards: consistent with owns_term's
         # term_hash64 % n_shards because n_shards divides n_buckets
         out = merge_bucket_table(
-            t, km_lrow, km_doc, km_dl, shard=bucket % n_shards,
-            chunk_bits=chunk_bits, avgdl=avgdl, k1=k1, b=b,
+            t, km_lrow, km_doc, shard=bucket % n_shards, chunk_bits=chunk_bits,
         )
         if out.num_rows == 0:
             continue
@@ -615,9 +584,6 @@ def _encode_postings(
     partials_dir: str,
     docs_dir: str,
     postings_dir: str,
-    avgdl: float,
-    k1: float,
-    b: float,
     chunk_bits: int,
     n_shards: int,
     parallelism: int,
@@ -678,15 +644,14 @@ def _encode_postings(
         for b_, lst in sorted(buckets.items())
     ]
     merge_kw = dict(postings_dir=postings_dir, keymap_dir=keymap_dir,
-                    n_shards=n_shards, chunk_bits=chunk_bits, avgdl=avgdl,
-                    k1=k1, b=b)
+                    n_shards=n_shards, chunk_bits=chunk_bits)
 
     # keymap: per-pid files with disjoint ascending lrow ranges -> concat in
     # filename order is globally lrow-sorted. Placements:
     #  - in process: the arrays themselves;
     #  - broadcast (default): one ray.put, zero-copy plasma on each node;
     #  - shared-storage fallback (keymap rows > keymap_broadcast_rows): at
-    #    extreme doc counts (~24 B/doc) the broadcast becomes the binding
+    #    extreme doc counts (~16 B/doc) the broadcast becomes the binding
     #    constraint, so each merge task instead reads ONLY the keymap files
     #    of the partitions present in its bucket straight from storage.
     km_files = glob.glob(os.path.join(keymap_dir, "keymap-*.parquet"))
@@ -987,8 +952,7 @@ def build_index(
     # ---- stage 3: postings merge + encode
     _t0 = _time.time()
     _encode_postings(
-        partials_dir, docs_dir, postings_dir, avgdl, k1, b,
-        chunk_bits, n_shards, parallelism,
+        partials_dir, docs_dir, postings_dir, chunk_bits, n_shards, parallelism,
         driver_small_threshold=driver_small_threshold,
         keymap_broadcast_rows=keymap_broadcast_rows,
         retries=retries,
@@ -1020,12 +984,9 @@ def build_index(
         "n_partitions": len(units),
         "source_files": paths,
         # full build config + key range: segment append (pipelines/
-        # segments.py) reuses the exact config and gates on key monotony;
-        # encode_avgdl is the avgdl baked into THIS index's block maxima
-        # (a block-skipping reader rescales them by avgdl_now/encode_avgdl)
+        # segments.py) reuses the exact config and gates on key monotony
         "column_map": build_cfg["column_map"],
         "key_cols": build_cfg["key_cols"],
-        "encode_avgdl": avgdl,
         "min_doc_key": id_stats.get("min_doc_key"),
         "max_doc_key": id_stats.get("max_doc_key"),
         # bucket files are written (term, last_doc_id)-sorted; a

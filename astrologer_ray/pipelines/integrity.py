@@ -12,7 +12,8 @@ Checks per generation (base index + each delta segment):
 * layout: ``_SUCCESS`` marker, meta.json readable;
 * docs sidecar: row count == meta ``n_docs``; ``doc_id`` dense and
   contiguous in the generation's id range; ``doc_key`` strictly increasing
-  (the monotone-append contract segments rely on); ``sum(dl)`` == meta;
+  (the monotone-append contract segments rely on); every ``dl`` non-null
+  and >= 0 (BM25 reads doc lengths only from here); ``sum(dl)`` == meta;
 * dictionary: term count == meta ``n_terms``; every ``df > 0``;
 * postings buckets (DISTRIBUTED — one Ray task per bucket file): chunk
   rows (term, last_doc_id)-sorted when meta flags ``postings_term_sorted``;
@@ -21,7 +22,10 @@ Checks per generation (base index + each delta segment):
   dictionary's ``df`` (the dictionary is DERIVED from these counts at build
   time, so a mismatch means a file changed after build); total postings ==
   meta ``n_postings``; a per-bucket SAMPLE of chunks is varbyte-decoded and
-  the ids verified ascending, in-range, and exactly ``n`` long;
+  the ids verified ascending, in-range, and exactly ``n`` long. Buckets
+  are read by column name, so an index written before doc lengths left
+  the postings (extra per-posting dl and per-block columns) is checked
+  the same way;
 * tombstones: ``doc_id`` within the combined corpus range.
 
 Everything scales: per-bucket checks run as a Ray Data ``map_batches`` over
@@ -73,7 +77,10 @@ def _check_docs(gdir: str, meta: dict, id_base: int,
         if keys:
             prev_key = keys[-1]
         n_total += len(ids)
-        sum_dl += int(np.asarray(t.column("dl"), dtype=np.int64).sum())
+        dl = t.column("dl")
+        if dl.null_count or pc.any(pc.less(dl, 0)).as_py():
+            errors.append(f"{p}: null or negative dl")
+        sum_dl += int(pc.sum(dl).as_py() or 0)
     if n_total != int(meta["n_docs"]):
         errors.append(
             f"{gdir}: docs rows {n_total} != meta n_docs {meta['n_docs']}"
@@ -93,7 +100,7 @@ def _bucket_summary(batch: pa.Table) -> pa.Table:
     """One Ray task: verify a few bucket files, return small summary rows
     (term->sum(n) stays inside the task; only totals + per-term digests the
     driver needs for the dictionary cross-check leave it)."""
-    from astrologer_ray.functions.codec import decode_chunk
+    from astrologer_ray.functions.codec import POSTINGS_SCHEMA, decode_chunk
 
     out = []
     for row in batch.to_pylist():
@@ -102,7 +109,7 @@ def _bucket_summary(batch: pa.Table) -> pa.Table:
         id_lo, id_hi = int(row["id_lo"]), int(row["id_hi"])
         sample = int(row["sample"])
         errs: list[str] = []
-        t = pq.read_table(p)
+        t = pq.read_table(p, columns=POSTINGS_SCHEMA.names)
         terms = t.column("term").to_pylist()
         first = np.asarray(t.column("first_doc_id"), dtype=np.int64)
         last = np.asarray(t.column("last_doc_id"), dtype=np.int64)
@@ -126,8 +133,8 @@ def _bucket_summary(batch: pa.Table) -> pa.Table:
             rng.choice(len(terms), size=min(sample, len(terms)), replace=False)
         ):
             crow = {c: t.column(c)[int(i)].as_py()
-                    for c in ("n", "ids_bytes", "tf_bytes", "dl_bytes")}
-            ids, tfs, _dls = decode_chunk(crow)
+                    for c in ("n", "ids_bytes", "tf_bytes")}
+            ids, tfs = decode_chunk(crow)
             if len(ids) != int(n[i]):
                 errs.append(f"{p}: chunk {i} decoded {len(ids)} != n {n[i]}")
             elif len(ids) and (np.diff(ids) <= 0).any():

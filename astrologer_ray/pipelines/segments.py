@@ -27,20 +27,13 @@ Correctness of multi-segment BM25 (state/searcher.py loads base + segments):
   order). Dense doc_ids therefore remain globally doc_key-sorted, chunk ids
   remain ascending, and per-term chunk lists from different segments
   concatenate into valid doc_id-ascending posting lists.
-* **exact scores** — postings store per-posting (tf, dl); the searcher
-  scores with the COMBINED global stats (N, avgdl summed over segments;
-  df summed over per-segment dictionaries), so scores are bit-exact
-  regardless of segmentation.
-* **block maxima** — each segment's precomputed block-max tf-norms were
-  baked with the global avgdl AT ITS ENCODE TIME (``encode_avgdl`` in its
-  meta). tf-norm ``tf/(tf + k1*(1-b+b*dl/a))`` is increasing in ``a`` and
-  its ratio between two avgdl values is bounded:
-  ``tfn(a')/tfn(a) = (tf + K(a))/(tf + K(a')) <= K(a)/K(a')
-  = (1-b+b*dl/a)/(1-b+b*dl/a') < a'/a`` for ``a' > a`` (sup as tf->0,
-  dl->inf). So ``stored_max * max(1, avgdl_now/encode_avgdl)`` is a valid
-  upper bound for a block-skipping reader. The searcher reads none of
-  them: its MaxScore term bounds are the max of each term's weights,
-  decoded under the combined stats, so they are exact by construction.
+* **exact scores** — postings store per-posting tf, and each doc's length
+  is stored once, in its generation's docs sidecar; the searcher scores
+  with the COMBINED global stats (N, avgdl summed over segments; df
+  summed over per-segment dictionaries), so scores are bit-exact
+  regardless of segmentation. Nothing a segment stores depends on the
+  corpus-wide avgdl, so an append never rewrites what earlier
+  generations wrote.
 
 :func:`compact_index` folds all segments back into the base by re-running
 the post-tokenize stages over the FULL partials set (stage-1 work is never
@@ -347,17 +340,11 @@ def append_segment(
             "compact_index()/build_index(resume=True) for out-of-order data"
         )
 
-    # ---- stage 3: encode ONLY the new partitions' postings, with the NEW
-    # combined avgdl baked into this segment's block maxima
+    # ---- stage 3: encode ONLY the new partitions' postings
     _t0 = _time.time()
-    avgdl_now = (
-        (prior["sum_dl"] + new_sum_dl) / (id_base + new_n_docs)
-        if (id_base + new_n_docs) else 0.0
-    )
     _encode_postings(
         partials_dir, os.path.join(seg_dir, "docs"),
-        os.path.join(seg_dir, "postings"), avgdl_now, k1, b,
-        chunk_bits, n_shards, parallelism,
+        os.path.join(seg_dir, "postings"), chunk_bits, n_shards, parallelism,
         driver_small_threshold=driver_small_threshold,
         keymap_broadcast_rows=keymap_broadcast_rows,
         retries=retries, pids=new_set, in_process=in_process,
@@ -381,7 +368,6 @@ def append_segment(
         "sum_dl": new_sum_dl,
         "n_postings": new_n_postings,
         "n_terms": n_terms,
-        "encode_avgdl": avgdl_now,
         "id_base": id_base,
         "min_doc_key": id_stats["min_doc_key"],
         "max_doc_key": id_stats["max_doc_key"],

@@ -147,8 +147,11 @@ kind. Nodes do not compose yet: a second node, a standalone node
 (phrase / span / prefix / dis_max / constant_score) beside scored terms,
 and a reranking node (pinned / boosting / function_score / script_score
 / rank_feature / distance_feature) without must terms or with should
-terms are refused with ``NotImplementedError``. A field ``sort`` orders
-exactly the docs ``hits.total`` counts.
+terms are refused with ``NotImplementedError``, and so are the keys a
+node's ranking would drop (top-level ``min_score`` and ``search_after``,
+a match clause's ``boost``). A field ``sort`` orders exactly the docs
+``hits.total`` counts, and so do the aggs of a node whose total is
+"rank".
 """
 
 from __future__ import annotations
@@ -204,12 +207,11 @@ class _Node:
     ``_translate`` branch builds one.
 
     - ``rank(s, k, filter)``: the Searcher call that ranks it.
-    - ``total``: how ``hits.total`` counts it. "rank" runs ``rank`` at
-      ``k = n_local`` (the exact predicate, which the scope would
-      overcount); "scope" counts the agg scope, and the ``pins`` ids
-      (pinned) as matches beside it.
-    - ``scope`` / ``also``: the should-clauses it adds to the agg scope,
-      a ``match`` per scope term, then the ``also`` clauses.
+    - ``total``: how ``hits.total`` and the aggs count it. "rank" runs
+      ``rank`` at ``k = n_local`` (the exact predicate, which the agg
+      scope would overcount); "scope" counts the agg scope, and the
+      ``pins`` ids (pinned) as matches beside it.
+    - ``scope``: the words it adds to the agg scope, a ``match`` each.
     - ``rerank``: it re-ranks the must terms' matches (pinned, boosting,
       function_score, script_score, rank_feature, distance_feature), so
       it needs must terms and takes no should terms. Every other node
@@ -217,11 +219,9 @@ class _Node:
       takes no scored terms beside it."""
 
     def __init__(self, kind: str, rank, total: str = "scope", scope=(),
-                 also=(), pins: list[int] | None = None,
-                 rerank: bool = False):
+                 pins: list[int] | None = None, rerank: bool = False):
         self.kind, self.rank, self.total = kind, rank, total
-        self.scope, self.also = list(scope), list(also)
-        self.pins, self.rerank = pins, rerank
+        self.scope, self.pins, self.rerank = list(scope), pins, rerank
 
 
 def _put(t: _Translated, node: _Node) -> None:
@@ -237,13 +237,13 @@ def _put(t: _Translated, node: _Node) -> None:
 def _phrase_node(toks: list[str]) -> _Node:
     return _Node("match_phrase",
                  lambda s, k, f: s.phrase_search(toks, k=k, filter=f),
-                 "rank", toks)
+                 "rank")
 
 
 def _span_near_node(kind: str, toks: list[str], slop: int) -> _Node:
     return _Node(kind, lambda s, k, f: s.span_near(toks, slop=slop, k=k,
                                                    filter=f),
-                 "rank", toks)
+                 "rank")
 
 
 def _rerank_node(kind: str, inner: _Translated, method: str,
@@ -465,7 +465,7 @@ def _translate_query(s, q: dict) -> _Translated:
         me = int(v.get("max_expansions", 50) if isinstance(v, dict) else 50)
         toks = _tokens(s, _text_of(v))
         _put(t, _Node(kind, lambda s, k, f: s.match_phrase_prefix(
-            toks, k=k, max_expansions=me, filter=f), "rank", toks[:-1]))
+            toks, k=k, max_expansions=me, filter=f), "rank"))
         return t
     if kind == "match_bool_prefix":
         ((_f, v),) = arg.items()
@@ -475,12 +475,8 @@ def _translate_query(s, q: dict) -> _Translated:
                 "match_bool_prefix supports the default OR operator only")
         me = int(v.get("max_expansions", 50) if isinstance(v, dict) else 50)
         toks = _tokens(s, _text_of(v))
-        # prefix-ONLY matches are hits too (OR semantics): the agg scope
-        # adds the uncapped dictionary prefix (a superset of the capped
-        # expansion set when max_expansions truncates)
         _put(t, _Node(kind, lambda s, k, f: s.match_bool_prefix(
-            toks, k=k, max_expansions=me, filter=f), "rank", toks[:-1],
-            [{"prefix": toks[-1]}] if toks else []))
+            toks, k=k, max_expansions=me, filter=f), "rank"))
         return t
     if kind == "terms_set":
         ((_f, spec),) = arg.items()
@@ -516,7 +512,7 @@ def _translate_query(s, q: dict) -> _Translated:
         term, end = next(iter(m["span_term"].values())), int(arg["end"])
         _put(t, _Node(kind, lambda s, k, f: s.span_first(term, end, k=k,
                                                          filter=f),
-                      "rank", [term]))
+                      "rank"))
         return t
     if kind == "span_or":
         # a span_or of span_terms matches docs holding ANY clause term and
@@ -538,7 +534,7 @@ def _translate_query(s, q: dict) -> _Translated:
         exc = next(iter(arg["exclude"]["span_term"].values()))
         pre, post = int(arg.get("pre", dist)), int(arg.get("post", dist))
         _put(t, _Node(kind, lambda s, k, f: s.span_not(
-            inc, exc, pre=pre, post=post, k=k, filter=f), "rank", [inc]))
+            inc, exc, pre=pre, post=post, k=k, filter=f), "rank"))
         return t
     if kind in ("span_containing", "span_within"):
         big, little = arg["big"], arg["little"]
@@ -556,7 +552,7 @@ def _translate_query(s, q: dict) -> _Translated:
         score = "big" if kind == "span_containing" else "little"
         _put(t, _Node(kind, lambda s, k, f: s.span_containing(
             bt, lt, slop=slop, score=score, k=k, filter=f),
-            "rank", bt + [lt]))
+            "rank"))
         return t
     if kind == "combined_fields":
         # ES combined_fields: term-centric BM25 over N text fields; the
@@ -877,8 +873,16 @@ def _parse_sort(sort) -> list[tuple[str, bool]] | None:
 
 
 def _run_hits(s, t: _Translated, size, min_score=None, after=None):
-    """The query's top ``size`` hits in its own ranking."""
+    """The query's top ``size`` hits in its own ranking. A scorer node
+    ranks by ``(k, filter)`` alone, so the keys it would drop are refused:
+    ``min_score``, ``search_after`` and a match clause's ``boost``."""
     if t.node is not None:
+        for key, given in (("min_score", min_score is not None),
+                           ("search_after", after is not None),
+                           ("boost", bool(t.boosts))):
+            if given:
+                raise NotImplementedError(
+                    f"{key} is not supported with a {t.node.kind} query")
         return t.node.rank(s, size, t.filter)
     if t.terms or t.should_terms:
         return s.search(t.terms, k=size, filter=t.filter,
@@ -901,17 +905,13 @@ def _sort_hits(s, sort, size, filter, after):
 
 def _agg_scope_filter(s, t: _Translated):
     """ES aggs scope to the query's matching docs: scoring terms become
-    a should-filter (>=1 term), composed with the filter clauses.
-
-    Documented approximation: for a node whose total is "rank" (the
-    positional kinds) the agg scope is docs containing >=1 of its scope
-    words, a superset of its matches — exact totals come from
-    :func:`_matched`."""
+    a should-filter (>=1 term), composed with the filter clauses. A node
+    whose total is "rank" scopes its aggs to :func:`_matched`'s exact
+    filter instead."""
     parts = list(t.filters)
     node = t.node
     sterms = t.terms + t.should_terms + (node.scope if node else [])
-    should = [{"match": w} for w in sorted(set(sterms))] \
-        + (node.also if node else [])
+    should = [{"match": w} for w in sorted(set(sterms))]
     if should:
         parts.append({"bool": {"should": should}})
     if not parts:
@@ -1919,8 +1919,10 @@ def _matched(s, t: _Translated) -> tuple[dict | None, int]:
     except where it would overcount: a node whose total is "rank" and
     msm > 1 run their exact predicate over every local doc instead."""
     node = t.node
-    if (node.total == "rank" if node is not None
-            else t.msm > 1 and (t.terms or t.should_terms)):
+    if node is not None and node.total == "rank":
+        ids = [h["doc_id"] for h in node.rank(s, s.n_local, t.filter)]
+        return {"ids": ids}, len(ids)
+    if node is None and t.msm > 1 and (t.terms or t.should_terms):
         ids = [h["doc_id"] for h in _run_hits(s, t, s.n_local)]
         return {"ids": ids}, len(ids)
     f = _agg_scope_filter(s, t)
@@ -2493,7 +2495,7 @@ def _execute_body(s, body: dict) -> dict:
     sort = _parse_sort(body.get("sort"))
     frm = int(body.get("from", 0))
     after = tuple(body["search_after"]) if "search_after" in body else None
-    total = None
+    matched = None  # _matched(s, t), run at most once per request
     if "collapse" in body:
         # ES field collapsing: one hit (the best) per distinct value of a
         # doc attribute — served by Searcher.search_collapse (plain
@@ -2530,17 +2532,17 @@ def _execute_body(s, body: dict) -> dict:
             filter=t.filter)
     elif sort is not None:
         # a field sort orders exactly the docs hits.total counts
-        f, total = _matched(s, t)
-        hits = _sort_hits(s, sort, size + frm, f, after)
+        matched = _matched(s, t)
+        hits = _sort_hits(s, sort, size + frm, matched[0], after)
     else:
         hits = _run_hits(s, t, size + frm, body.get("min_score"), after)
     hits = hits[frm:]
     aggs = body.get("aggs") or body.get("aggregations")
-    if total is None:
-        total = _matched(s, t)[1]
+    if matched is None:
+        matched = _matched(s, t)
     resp = {
         "hits": {
-            "total": {"value": int(total), "relation": "eq"},
+            "total": {"value": int(matched[1]), "relation": "eq"},
             "hits": [
                 {"_id": h["doc_id"], "_score": h.get("score"),
                  **{k: v for k, v in h.items()
@@ -2559,8 +2561,11 @@ def _execute_body(s, body: dict) -> dict:
     if "suggest" in body:
         resp["suggest"] = _run_suggest(s, body["suggest"])
     if aggs:
+        # a positional node's aggs count its exact matches, the docs
+        # hits.total counts, not every doc holding one of its words
+        exact = t.node is not None and t.node.total == "rank"
         resp["aggregations"] = _run_aggs(
-            s, aggs, _agg_scope_filter(s, t),
+            s, aggs, matched[0] if exact else _agg_scope_filter(s, t),
             qterms=(t.terms or t.should_terms or None))
     return resp
 

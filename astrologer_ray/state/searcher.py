@@ -45,6 +45,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from astrologer_ray.functions.codec import POSTINGS_SCHEMA, POSTINGS_SCHEMA_POS
 from astrologer_ray.functions.tokenizer import tokenize
 from astrologer_ray.pipelines.build import load_meta
 from astrologer_ray.stages.spimi import FIELD_SEP
@@ -62,8 +63,7 @@ class _ChunkStore:
     query actually touches (and cached). Eagerly exploding every row into
     a Python dict was O(vocab × chunks) objects per actor and dominated
     actor cold-start and RSS on large shards. Blob columns attach as
-    zero-copy memoryview slices over the Arrow data buffer. The per-block
-    list columns (skip offsets, block maxima) are not loaded: every term is
+    zero-copy memoryview slices over the Arrow data buffer. Every term is
     decoded whole, and its score bound is the max of its cached weights.
     """
 
@@ -341,30 +341,37 @@ class Searcher:
 
         # docs sidecar first: the allocator keeps the string columns'
         # transient encode memory, and the postings load below reuses it
-        # instead of raising the process's peak RSS
+        # instead of raising the process's peak RSS. Every searcher reads
+        # the local docs' lengths (``self.dl``, int64 by local id): the
+        # BM25 norm that every posting's weight gathers, stored once per
+        # doc. With ``load_docs`` the same array is ``doc_attrs["dl"]``.
+        cols = ["doc_id", "dl"]
+        if load_docs:
+            cols += ["doc_key", "repo", "path", "commit", "lang"]
+        dfiles = [
+            p for gdir, _ in gens
+            for p in sorted(glob.glob(os.path.join(gdir, "docs", "*.parquet")))
+        ]
+        dfilt = None
+        if chunk_range is not None:
+            # prune the sidecar read to this shard's doc range — a
+            # doc-range actor must not hold N rows of attributes
+            dfilt = (pc.field("doc_id") >= self.doc_lo) & (
+                pc.field("doc_id") < self.doc_hi
+            )
+        docs = pa.concat_tables(
+            _read_many(dfiles, columns=cols, filters=dfilt)
+        ).sort_by("doc_id")
+        if docs.num_rows:
+            did = docs.column("doc_id").to_numpy()
+            assert did[0] == self.doc_lo and did[-1] == self.doc_hi - 1
+        assert docs.num_rows == self.n_local
+        self.dl = docs.column("dl").to_numpy()
         self.doc_attrs = DocAttrs()
         if load_docs:
-            cols = ["doc_id", "doc_key", "repo", "path", "commit", "lang", "dl"]
-            dfiles = [
-                p for gdir, _ in gens
-                for p in sorted(glob.glob(os.path.join(gdir, "docs", "*.parquet")))
-            ]
-            dfilt = None
-            if chunk_range is not None:
-                # prune the sidecar read to this shard's doc range — a
-                # doc-range actor must not hold N rows of attributes
-                dfilt = (pc.field("doc_id") >= self.doc_lo) & (
-                    pc.field("doc_id") < self.doc_hi
-                )
-            docs = pa.concat_tables(
-                _read_many(dfiles, columns=cols, filters=dfilt)
-            ).sort_by("doc_id")
-            if docs.num_rows:
-                did = docs.column("doc_id").to_numpy()
-                assert did[0] == self.doc_lo and did[-1] == self.doc_hi - 1
-                assert docs.num_rows == self.n_local
             for c in cols[1:]:
-                self.doc_attrs[c] = docs.column(c)  # strings dictionary-coded
+                # strings dictionary-coded; dl shares self.dl
+                self.doc_attrs[c] = self.dl if c == "dl" else docs.column(c)
             # ES _update_by_query overlay (pipelines/segments.
             # update_by_query): generation files fold in filename order
             # (later wins), rows pruned to this shard's doc range. A new
@@ -402,11 +409,17 @@ class Searcher:
             for c, arr in work.items():
                 self.doc_attrs[c] = arr
 
+        # an explicit column list: an index written before doc lengths
+        # left the postings still carries a per-posting dl stream and
+        # per-block lists, which this read skips, so both formats load
+        # through the same path
+        post_cols = (POSTINGS_SCHEMA_POS if self.meta.get("positions")
+                     else POSTINGS_SCHEMA).names
         tables = []
         for gdir, _ in gens:
             gt = _read_many(
                 sorted(glob.glob(os.path.join(gdir, "postings", "*.parquet"))),
-                filters=filt,
+                columns=post_cols, filters=filt,
             )
             if not gt:
                 continue
@@ -511,23 +524,18 @@ class Searcher:
             return ent
         from astrologer_ray.functions.codec import decode_chunk
 
-        idf_t = idf(self.N, int(self.df[t]))
-        parts_i, parts_w = [], []
-        for row in self.postings[t]:
-            ids, tfs, dls = decode_chunk(row)
-            parts_i.append(ids)
-            parts_w.append(
-                bm25_term_weight(
-                    idf_t, tfs.astype(np.float64), dls.astype(np.float64),
-                    self.avgdl, self.k1, self.b,
-                )
-            )
-        ids = np.concatenate(parts_i) if len(parts_i) > 1 else parts_i[0]
-        w = np.concatenate(parts_w) if len(parts_w) > 1 else parts_w[0]
+        parts = [decode_chunk(row) for row in self.postings[t]]
+        ids, tfs = (parts[0] if len(parts) == 1 else
+                    (np.concatenate([p[0] for p in parts]),
+                     np.concatenate([p[1] for p in parts])))
         if self.doc_lo:
             # cache LOCAL ids once at decode time so every query-time
             # gather indexes the range-sized arrays directly
             ids = ids - self.doc_lo
+        w = bm25_term_weight(
+            idf(self.N, int(self.df[t])), tfs.astype(np.float64),
+            self.dl[ids].astype(np.float64), self.avgdl, self.k1, self.b,
+        )
         if 2 * len(ids) >= self.n_local:
             lo, ub = float(w.min()), float(w.max())
             if not lo > 0.0:
@@ -1337,7 +1345,7 @@ class Searcher:
                 raise ValueError(
                     "phrase_search requires an index built with positions=True"
                 )
-            ids, _tfs, _dls = decode_chunk(row)
+            ids, _tfs = decode_chunk(row)
             pos, occ = decode_chunk_positions(row)
             docs_parts.append(np.repeat(ids, np.diff(occ)))
             pos_parts.append(pos)
@@ -1762,7 +1770,6 @@ class Searcher:
         allowed = self._lang_filter_mask(lang, filter)
 
         tf_buf = np.zeros(self.n_local, dtype=np.float64)
-        dl_buf = np.zeros(self.n_local, dtype=np.float64)
         scores = np.zeros(self.n_local, dtype=np.float64)
         nmatch = np.zeros(self.n_local, dtype=np.int32)
         for group in groups:
@@ -1780,17 +1787,16 @@ class Searcher:
             part_ids = []
             for t in members:
                 for row in self.postings[t]:
-                    ids, tfs, dls = decode_chunk(row)
+                    ids, tfs = decode_chunk(row)
                     if self.doc_lo:
                         ids = ids - self.doc_lo
                     tf_buf[ids] += tfs
-                    dl_buf[ids] = dls
                     part_ids.append(ids)
             uids = (np.unique(np.concatenate(part_ids))
                     if len(part_ids) > 1 else part_ids[0])
             w = bm25_term_weight(
-                idf(self.N, df_eff), tf_buf[uids], dl_buf[uids],
-                self.avgdl, self.k1, self.b,
+                idf(self.N, df_eff), tf_buf[uids],
+                self.dl[uids].astype(np.float64), self.avgdl, self.k1, self.b,
             )
             scores[uids] += w
             nmatch[uids] += 1
@@ -2619,21 +2625,20 @@ class Searcher:
         decoded = {}
         for t in uniq:
             parts = [decode_chunk(row) for row in self.postings[t]]
-            ids = np.concatenate([p[0] for p in parts])
-            tfs = np.concatenate([p[1] for p in parts])
-            dls = np.concatenate([p[2] for p in parts])
-            decoded[t] = (ids, tfs, dls)
+            decoded[t] = (np.concatenate([p[0] for p in parts]),
+                          np.concatenate([p[1] for p in parts]))
         out = []
         for h in hits:
             did = h["doc_id"]
             for t in uniq:
-                ids, tfs, dls = decoded[t]
+                ids, tfs = decoded[t]
                 i = int(np.searchsorted(ids, did))
                 if i >= len(ids) or ids[i] != did:
                     continue
                 df_t = int(self.df[t])
                 w = bm25_term_weight(
-                    idf(self.N, df_t), float(tfs[i]), float(dls[i]),
+                    idf(self.N, df_t), float(tfs[i]),
+                    float(self.dl[did - self.doc_lo]),
                     self.avgdl, self.k1, self.b,
                 )
                 if t in boosts:

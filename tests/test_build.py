@@ -72,7 +72,8 @@ def test_df_equals_posting_lengths(built_index):
 
 
 def test_postings_match_brute_force(built_index):
-    """Decode every posting chunk; tf must equal the tokenizer's counts."""
+    """Decode every posting chunk; tf must equal the tokenizer's counts,
+    and each doc's sidecar dl its token count."""
     from collections import Counter
 
     from astrologer_ray.functions.codec import decode_chunk
@@ -99,11 +100,12 @@ def test_postings_match_brute_force(built_index):
     got: dict[tuple[str, int], int] = {}
     post = pq.read_table(glob.glob(index_dir + "/postings/*.parquet"))
     for row in post.to_pylist():
-        ids, tfs, pdls = decode_chunk(row)
-        for i, tf, dl in zip(ids, tfs, pdls):
+        ids, tfs = decode_chunk(row)
+        for i, tf in zip(ids, tfs):
             got[(row["term"], int(i))] = int(tf)
-            assert dl == dls[int(i)], f"dl mismatch doc {i}"
     assert got == want
+    assert dict(zip(docs.column("doc_id").to_pylist(),
+                    docs.column("dl").to_pylist())) == dls
     assert meta["n_postings"] == len(want)
 
 
@@ -112,6 +114,11 @@ def test_dl_stored_matches_docs(built_index):
     docs = pq.read_table(glob.glob(index_dir + "/docs/*.parquet"))
     assert meta["sum_dl"] == sum(docs.column("dl").to_pylist())
     assert meta["avgdl"] == meta["sum_dl"] / meta["n_docs"]
+    # the sidecar is the one place doc lengths live: the keymap joins
+    # postings to doc ids only, and nothing is encoded against avgdl
+    for f in glob.glob(index_dir + "/keymap/*.parquet"):
+        assert pq.read_schema(f).names == ["lrow", "doc_id"]
+    assert "encode_avgdl" not in meta
 
 
 def test_doc_id_assignment_parallelism_invariant(ray_session, small_corpus_dir, tmp_path):
@@ -362,7 +369,6 @@ def test_merge_bucket_table_vectorized_and_collision_paths():
 
     km_lrow = np.arange(40, dtype=np.int64)
     km_doc = (np.arange(40, dtype=np.int64) * 7) % 40  # scrambled doc ids
-    km_dl = (10 + km_doc).astype(np.int32)
 
     def partial(term, thash, lrows, tfs):
         return pa.table(
@@ -375,22 +381,17 @@ def test_merge_bucket_table_vectorized_and_collision_paths():
              partial("a", 111, [10, 11], [4, 5]),
              partial("b", 222, [3, 4, 5], [6, 7, 8])]
     t = pa.concat_tables(parts)
-    out = merge_bucket_table(t, km_lrow, km_doc, km_dl, shard=1,
-                             chunk_bits=20, avgdl=12.0)
+    out = merge_bucket_table(t, km_lrow, km_doc, shard=1, chunk_bits=20)
     assert out.column("shard").to_pylist() == [1] * out.num_rows
     by_term = {}
     for row in out.to_pylist():
-        ids, tfs, dls = decode_chunk(row)
-        by_term.setdefault(row["term"], []).append((ids, tfs, dls))
+        by_term.setdefault(row["term"], []).append(decode_chunk(row))
     a_ids = np.concatenate([x[0] for x in by_term["a"]])
     want_a = np.sort(km_doc[[0, 1, 2, 10, 11]])
     assert np.array_equal(a_ids, want_a)
     order = np.argsort(km_doc[[0, 1, 2, 10, 11]])
     want_tf = np.array([1, 2, 3, 4, 5])[order]
     assert np.array_equal(np.concatenate([x[1] for x in by_term["a"]]), want_tf)
-    assert np.array_equal(
-        np.concatenate([x[2] for x in by_term["a"]]),
-        km_dl[[0, 1, 2, 10, 11]][order])
 
     # forged collision: same hash, DIFFERENT terms -> fallback path; output
     # rows must equal the no-collision build of the same postings
@@ -398,15 +399,30 @@ def test_merge_bucket_table_vectorized_and_collision_paths():
                partial("y", 999, [2, 3], [3, 4]),
                partial("x", 999, [10], [5])]
     out_c = merge_bucket_table(pa.concat_tables(parts_c), km_lrow, km_doc,
-                               km_dl, shard=0, chunk_bits=20, avgdl=12.0)
+                               shard=0, chunk_bits=20)
     parts_n = [partial("x", 111, [0, 1], [1, 2]),
                partial("y", 333, [2, 3], [3, 4]),
                partial("x", 111, [10], [5])]
     out_n = merge_bucket_table(pa.concat_tables(parts_n), km_lrow, km_doc,
-                               km_dl, shard=0, chunk_bits=20, avgdl=12.0)
+                               shard=0, chunk_bits=20)
     a = out_c.sort_by([("term", "ascending"), ("chunk_id", "ascending")])
     b = out_n.sort_by([("term", "ascending"), ("chunk_id", "ascending")])
     assert a.equals(b)
+
+    # positional partials: the fallback's position streams match too
+    def with_pos(part):
+        tfs = part.column("tfs")[0].as_py()
+        return part.append_column("poss", pa.array(
+            [[p for f in tfs for p in range(1, 2 * f, 2)]],
+            pa.list_(pa.int32())))
+
+    out_c, out_n = (
+        merge_bucket_table(pa.concat_tables(map(with_pos, ps)), km_lrow,
+                           km_doc, shard=0, chunk_bits=20)
+        .sort_by([("term", "ascending"), ("chunk_id", "ascending")])
+        for ps in (parts_c, parts_n))
+    assert "pos_bytes" in out_c.column_names
+    assert out_c.equals(out_n)
 
 
 def test_n_buckets_decoupled_from_n_shards(ray_session, small_corpus_dir, tmp_path):

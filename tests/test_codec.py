@@ -45,83 +45,73 @@ def _random_postings(rng, n, max_gap=1000):
     gaps = rng.integers(1, max_gap, size=n)
     ids = np.cumsum(gaps).astype(np.int64)
     tfs = rng.integers(1, 50, size=n).astype(np.int64)
-    dls = rng.integers(1, 5000, size=n).astype(np.int64)
-    return ids, tfs, dls
+    return ids, tfs
+
+
+def _random_runs(rng, lens):
+    """Flat (ids, tfs) of doc_id-sorted runs with the given lengths, and
+    the run bounds that tile them."""
+    parts = [_random_postings(rng, n) for n in lens]
+    bounds = np.concatenate(([0], np.cumsum(lens)))
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]), bounds[:-1], bounds[1:])
 
 
 @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 17, 10_000])
 def test_chunk_roundtrip(n):
     rng = np.random.default_rng(n)
-    ids, tfs, dls = _random_postings(rng, n)
-    row = encode_chunk(ids, tfs, dls, avgdl=100.0)
-    rid, rtf, rdl = decode_chunk(row)
+    ids, tfs = _random_postings(rng, n)
+    row = encode_chunk(ids, tfs)
+    assert sorted(row) == ["first_doc_id", "ids_bytes", "last_doc_id", "n",
+                           "sum_tf", "tf_bytes"]
+    rid, rtf = decode_chunk(row)
     np.testing.assert_array_equal(rid, ids)
     np.testing.assert_array_equal(rtf, tfs)
-    np.testing.assert_array_equal(rdl, dls)
     assert row["first_doc_id"] == ids[0]
     assert row["last_doc_id"] == ids[-1]
+    assert row["sum_tf"] == tfs.sum()
 
 
 def test_block_decode_matches_full():
     rng = np.random.default_rng(3)
     n = 4 * BLOCK + 31
-    ids, tfs, dls = _random_postings(rng, n)
-    row = encode_chunk(ids, tfs, dls, avgdl=100.0)
+    ids, tfs = _random_postings(rng, n)
+    row = encode_chunk(ids, tfs)
     nblocks = (n + BLOCK - 1) // BLOCK
-    assert len(row["block_last"]) == nblocks
-    got_ids, got_tfs, got_dls = [], [], []
-    for bi in range(nblocks):
-        bids, btfs, bdls = decode_block(row, bi)
-        got_ids.append(bids)
-        got_tfs.append(btfs)
-        got_dls.append(bdls)
-        assert bids[-1] == row["block_last"][bi]
-    np.testing.assert_array_equal(np.concatenate(got_ids), ids)
-    np.testing.assert_array_equal(np.concatenate(got_tfs), tfs)
-    np.testing.assert_array_equal(np.concatenate(got_dls), dls)
+    blocks = [decode_block(row, bi) for bi in range(nblocks)]
+    assert [len(b[0]) for b in blocks] == [BLOCK] * (nblocks - 1) + [31]
+    np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), ids)
+    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), tfs)
 
 
-def test_block_max_tfn_exact():
-    rng = np.random.default_rng(9)
-    n = 3 * BLOCK + 5
-    ids, tfs, dls = _random_postings(rng, n)
-    k1, b, avgdl = 1.2, 0.75, 321.5
-    row = encode_chunk(ids, tfs, dls, avgdl=avgdl, k1=k1, b=b)
-    tfn = tfs / (tfs + k1 * (1 - b + b * dls / avgdl))
-    for bi in range(len(row["block_max_tfn"])):
-        s, e = bi * BLOCK, min((bi + 1) * BLOCK, n)
-        assert row["block_max_tfn"][bi] == tfn[s:e].max()
+def test_ids_restart_absolutely_every_block():
+    """The ids stream is the one every index so far was written with:
+    deltas, with the absolute id at each run start and every BLOCK
+    postings after it."""
+    ids = np.arange(1, 2 * BLOCK + 2, dtype=np.int64) * 3
+    vals = np.full(len(ids), 3, dtype=np.uint64)
+    vals[[0, BLOCK, 2 * BLOCK]] = ids[[0, BLOCK, 2 * BLOCK]]
+    row = encode_chunk(ids, np.ones(len(ids), dtype=np.int64))
+    assert row["ids_bytes"] == varbyte_encode(vals)
 
 
 def test_encode_rejects_unsorted():
-    with pytest.raises(AssertionError):
-        encode_chunk(
-            np.array([5, 3]), np.array([1, 1]), np.array([1, 1]), avgdl=1.0
-        )
+    for ids in ([5, 3], [4, 4], [1, 2, 9, 7]):
+        with pytest.raises(AssertionError):
+            encode_chunk(np.array(ids), np.ones(len(ids), dtype=np.int64))
 
 
 def test_encode_chunks_batch_equals_per_run():
     from astrologer_ray.functions.codec import encode_chunks_batch
 
     rng = np.random.default_rng(11)
-    runs = []
-    vals_d, vals_t, vals_l = [], [], []
-    pos = 0
-    for n in [1, 2, BLOCK, BLOCK + 1, 700, 5, 3 * BLOCK + 9]:
-        ids, tfs, dls = _random_postings(rng, n)
-        vals_d.append(ids)
-        vals_t.append(tfs)
-        vals_l.append(dls)
-        runs.append((pos, pos + n))
-        pos += n
-    vd, vt, vl = map(np.concatenate, (vals_d, vals_t, vals_l))
-    starts = np.array([r[0] for r in runs])
-    ends = np.array([r[1] for r in runs])
-    batch = encode_chunks_batch(vd, vt, vl, starts, ends, avgdl=77.0)
-    for i, (s, e) in enumerate(runs):
-        want = encode_chunk(vd[s:e], vt[s:e], vl[s:e], avgdl=77.0)
-        got = batch[i]
-        assert got == want, f"run {i} differs: {set(got) ^ set(want)}"
+    vd, vt, starts, ends = _random_runs(
+        rng, [1, 2, BLOCK, BLOCK + 1, 700, 5, 3 * BLOCK + 9])
+    # runs are independent (each draws its ids afresh): only ids inside a
+    # run must ascend
+    batch = encode_chunks_batch(vd, vt, starts, ends)
+    for i, (s, e) in enumerate(zip(starts, ends)):
+        assert batch[i] == encode_chunk(vd[s:e], vt[s:e]), f"run {i} differs"
 
 
 def test_encode_chunks_table_equals_batch():
@@ -135,39 +125,38 @@ def test_encode_chunks_table_equals_batch():
     )
 
     rng = np.random.default_rng(23)
-    lens = [1, 2, BLOCK, BLOCK + 1, 700, 5, 3 * BLOCK + 9, 64]
-    vals_d, vals_t, vals_l, runs = [], [], [], []
-    pos = 0
-    for n in lens:
-        ids, tfs, dls = _random_postings(rng, n)
-        vals_d.append(ids)
-        vals_t.append(tfs)
-        vals_l.append(dls)
-        runs.append((pos, pos + n))
-        pos += n
-    vd, vt, vl = map(np.concatenate, (vals_d, vals_t, vals_l))
-    starts = np.array([r[0] for r in runs])
-    ends = np.array([r[1] for r in runs])
-    rows = encode_chunks_batch(vd, vt, vl, starts, ends, avgdl=77.0)
-    cids = rng.integers(0, 3, len(runs)).astype(np.int64)
+    vd, vt, starts, ends = _random_runs(
+        rng, [1, 2, BLOCK, BLOCK + 1, 700, 5, 3 * BLOCK + 9, 64])
+    rows = encode_chunks_batch(vd, vt, starts, ends)
+    cids = rng.integers(0, 3, len(rows)).astype(np.int64)
     for i, r in enumerate(rows):
         r["term"] = f"term{i}"
         r["chunk_id"] = int(cids[i])
         r["shard"] = 5
     want = pa.Table.from_pylist(rows, schema=POSTINGS_SCHEMA)
     got = encode_chunks_table(
-        vd, vt, vl, starts, ends, 77.0,
-        terms=pa.array([f"term{i}" for i in range(len(runs))]),
+        vd, vt, starts, ends,
+        terms=pa.array([f"term{i}" for i in range(len(rows))]),
         chunk_ids=cids, shard=5,
     )
     assert got.schema.equals(want.schema)
     assert got.equals(want)
     # decode round-trip through the columnar cells too
-    for i, (s, e) in enumerate(runs):
-        ids2, tfs2, dls2 = decode_chunk(got.slice(i, 1).to_pylist()[0])
+    for i, (s, e) in enumerate(zip(starts, ends)):
+        ids2, tfs2 = decode_chunk(got.slice(i, 1).to_pylist()[0])
         assert np.array_equal(ids2, vd[s:e])
         assert np.array_equal(tfs2, vt[s:e])
-        assert np.array_equal(dls2, vl[s:e])
+
+
+def test_postings_schema_columns():
+    """A chunk row holds ids and tfs and their summaries: no per-posting
+    doc length and no per-block lists (serving reads neither)."""
+    from astrologer_ray.functions.codec import POSTINGS_SCHEMA, POSTINGS_SCHEMA_POS
+
+    assert POSTINGS_SCHEMA.names == [
+        "term", "chunk_id", "shard", "n", "first_doc_id", "last_doc_id",
+        "ids_bytes", "tf_bytes", "sum_tf"]
+    assert POSTINGS_SCHEMA_POS.names == POSTINGS_SCHEMA.names + ["pos_bytes"]
 
 
 def test_encode_chunks_table_positions_roundtrip():
@@ -183,34 +172,22 @@ def test_encode_chunks_table_positions_roundtrip():
     )
 
     rng = np.random.default_rng(41)
-    lens = [1, 5, BLOCK, BLOCK + 1, 300, 2]
-    vals_d, vals_t, vals_l, runs = [], [], [], []
-    pos = 0
-    for n in lens:
-        ids, tfs, dls = _random_postings(rng, n)
-        vals_d.append(ids)
-        vals_t.append(tfs)
-        vals_l.append(dls)
-        runs.append((pos, pos + n))
-        pos += n
-    vd, vt, vl = map(np.concatenate, (vals_d, vals_t, vals_l))
-    starts = np.array([r[0] for r in runs])
-    ends = np.array([r[1] for r in runs])
+    vd, vt, starts, ends = _random_runs(rng, [1, 5, BLOCK, BLOCK + 1, 300, 2])
     # per-posting ascending positions, run length == tf
     pos_vals = np.concatenate(
         [np.cumsum(rng.integers(1, 9, int(f))) for f in vt]
     ).astype(np.int64)
-    terms = pa.array([f"t{i}" for i in range(len(runs))])
-    cids = rng.integers(0, 3, len(runs)).astype(np.int64)
-    plain = encode_chunks_table(vd, vt, vl, starts, ends, 55.0,
+    terms = pa.array([f"t{i}" for i in range(len(starts))])
+    cids = rng.integers(0, 3, len(starts)).astype(np.int64)
+    plain = encode_chunks_table(vd, vt, starts, ends,
                                 terms=terms, chunk_ids=cids, shard=1)
-    got = encode_chunks_table(vd, vt, vl, starts, ends, 55.0,
+    got = encode_chunks_table(vd, vt, starts, ends,
                               terms=terms, chunk_ids=cids, shard=1,
                               pos_vals=pos_vals)
     assert got.schema.equals(POSTINGS_SCHEMA_POS)
     assert got.drop_columns(["pos_bytes"]).equals(plain)
     occ_bounds = np.concatenate(([0], np.cumsum(vt)))
-    for i, (s, e) in enumerate(runs):
+    for i, (s, e) in enumerate(zip(starts, ends)):
         row = got.slice(i, 1).to_pylist()[0]
         p, occ = decode_chunk_positions(row)
         lo, hi = occ_bounds[s], occ_bounds[e]

@@ -314,3 +314,66 @@ def test_one_node_compositions_are_refused(node_env):
             execute_dsl(s, {"query": q})
         with pytest.raises(NotImplementedError):
             execute_count(s, {"query": q})
+
+
+def test_node_refuses_the_keys_its_ranking_drops(node_env):
+    """A body ranked by a scorer node refuses, naming it, each key that
+    node's ranking would drop: a top-level min_score, a top-level
+    search_after and a match clause's boost. A plain match still serves
+    them, and a field-sorted search_after still pages a node's matches."""
+    s = node_env["searchers"]["single"]
+    toks, common = node_env["words"]
+    w1, w2 = common[0], common[1]
+    phrase = {"match_phrase": {"content": " ".join(toks)}}
+    boosted = {"match": {"content": {"query": f"{w1} {w2}", "boost": 2.0}}}
+    gauss = [{"gauss": {"dl": {"origin": 100, "scale": 50}}}]
+    refused = [
+        ("min_score", {"query": phrase, "min_score": 1e9}),
+        ("search_after", {"query": phrase, "search_after": [1.0, 5]}),
+        ("boost", {"query": {"function_score": {"query": boosted,
+                                                "functions": gauss}}}),
+        ("boost", {"query": {"bool": {"must": [boosted], "should": [
+            {"rank_feature": {"field": "dl"}}]}}}),
+    ]
+    for key, body in refused:
+        with pytest.raises(NotImplementedError, match=key):
+            execute_dsl(s, body)
+
+    plain = execute_dsl(s, {"query": boosted, "min_score": 1e9})
+    assert plain["hits"]["hits"] == []
+    pmatch = {h["doc_id"] for h in s.phrase_search(toks, k=s.n_local)}
+    page = execute_dsl(s, {"size": 3, "query": phrase,
+                           "sort": [{"dl": {"order": "asc"}}],
+                           "search_after": [0, -1]})
+    assert [h["_id"] for h in page["hits"]["hits"]] == \
+        _sorted_ids(s, pmatch, [("dl", False)])[:3]
+
+
+@pytest.mark.parametrize("shape", ["single", "shard", "seg"])
+def test_positional_node_aggs_count_its_matches(node_env, shape):
+    """Aggs under a match_phrase count exactly the docs hits.total counts:
+    the terms buckets' doc_counts sum to the total, and each equals a
+    brute-force count of the live docs holding the phrase."""
+    from collections import Counter
+
+    s = node_env["searchers"][shape]
+    toks, _ = node_env["words"]
+    contents = node_env["contents"][shape]
+    live = np.ones(s.N, dtype=bool)
+    if s.deleted is not None:
+        live[s.deleted] = False
+    m = len(toks)
+    want = Counter()
+    for d in range(s.doc_lo, s.doc_hi):
+        tk = tokenize(contents[d] or "", mode=s.mode)
+        if live[d] and any(tk[j:j + m] == toks
+                           for j in range(len(tk) - m + 1)):
+            want[s.doc_attrs.value("lang", d - s.doc_lo)] += 1
+    got = execute_dsl(s, {"size": 0,
+                          "query": {"match_phrase": {"content": " ".join(toks)}},
+                          "aggs": {"langs": {"terms": {"field": "lang"}}}})
+    buckets = {b["key"]: b["doc_count"]
+               for b in got["aggregations"]["langs"]["buckets"]}
+    assert sum(want.values()) > 0
+    assert buckets == dict(want)
+    assert got["hits"]["total"]["value"] == sum(buckets.values())

@@ -94,6 +94,18 @@ def test_corruptions_are_detected(ray_session, small_corpus_dir, tmp_path):
     assert any("dense" in e or "n_docs" in e for e in out["errors"])
     pq.write_table(dd, docf)  # restore
 
+    # 4) a negative or a null doc length: BM25 reads dl only from the
+    #    sidecar, so each is flagged on its own
+    dl = dd.column("dl").to_pylist()
+    for bad in (-1 - dl[0], None):
+        cols = {c: dd.column(c) for c in dd.column_names}
+        cols["dl"] = pa.array([bad] + dl[1:], type=dd.schema.field("dl").type)
+        pq.write_table(pa.table(cols), docf)
+        out = check_index(idx, sample_chunks=2)
+        assert not out["ok"]
+        assert any("null or negative dl" in e for e in out["errors"]), bad
+    pq.write_table(dd, docf)  # restore
+
     out = check_index(idx, sample_chunks=2)
     assert out["ok"], out["errors"]
 
