@@ -35,7 +35,6 @@ import glob
 import json
 import os
 import shutil
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -70,15 +69,6 @@ DOCS_SCHEMA = pa.schema(
         ("lrow", pa.int64()),
     ]
 )
-
-
-def term_shard(terms, n_shards: int) -> np.ndarray:
-    """Stable term -> shard hash (crc32; python hash() is per-process salted)."""
-    return np.fromiter(
-        (zlib.crc32(t.encode("utf-8")) % n_shards for t in terms),
-        dtype=np.int32,
-        count=len(terms),
-    )
 
 
 def _corpus_paths(corpus) -> list[str]:
@@ -546,8 +536,8 @@ def merge_buckets(
             pq.ParquetFile(f).read_row_group(rg)
             for f, rg in zip(desc["files"], desc["rgs"])
         )
-        # shard = bucket mod n_shards: consistent with owns_term's
-        # term_hash64 % n_shards because n_shards divides n_buckets
+        # shard = bucket mod n_shards = term_hash64 % n_shards, because
+        # n_shards divides n_buckets (no serving path reads the column)
         out = merge_bucket_table(
             t, km_lrow, km_doc, shard=bucket % n_shards, chunk_bits=chunk_bits,
         )
@@ -868,7 +858,7 @@ def build_index(
     )
 
     # Merge bucket count (I/O-parallel merge units) is DECOUPLED from
-    # n_shards (the logical term-shard id served by Searcher/pools) but must
+    # n_shards (the term-hash ``shard`` column of the postings) but must
     # be a multiple of it: hash % n_buckets == b implies hash % n_shards ==
     # b % n_shards. Resolution order: explicit arg > the existing partials'
     # value (resume/ingest MUST keep it) > auto from input volume so each

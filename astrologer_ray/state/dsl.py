@@ -76,8 +76,9 @@ methods — this module adds translation, not retrieval):
   into the scope filter via ``_compose_scope``.
   Aggregations scope to the query's matching docs, like ES.
   ``execute_count`` serves the ``_count`` endpoint; ``shard_plan`` /
-  ``merge_sharded`` implement the scatter-gather merge contract used
-  by ``ShardedSearchPool.execute_dsl``.
+  ``merge_sharded`` implement the scatter-gather merge contract a pool
+  with more than one group (doc-range shards, several indexes) applies
+  in ``msearch`` / ``execute_dsl``.
 - endpoint analogs beyond ``_search``: ``execute_explain``
   (``_explain/<id>`` — does one doc match, with the BM25 breakdown),
   ``execute_terms_enum`` (``_terms_enum`` — sorted prefix listing
@@ -904,10 +905,9 @@ def _sort_hits(s, sort, size, filter, after):
 
 
 def _agg_scope_filter(s, t: _Translated):
-    """ES aggs scope to the query's matching docs: scoring terms become
-    a should-filter (>=1 term), composed with the filter clauses. A node
-    whose total is "rank" scopes its aggs to :func:`_matched`'s exact
-    filter instead."""
+    """The query's matching docs as a filter when no node ranks them and
+    no msm > 1 applies: scoring terms become a should-filter (>=1 term),
+    composed with the filter clauses (see :func:`_matched`)."""
     parts = list(t.filters)
     node = t.node
     sterms = t.terms + t.should_terms + (node.scope if node else [])
@@ -1915,9 +1915,10 @@ def _run_suggest(s, sugg: dict) -> dict:
 def _matched(s, t: _Translated) -> tuple[dict | None, int]:
     """The docs ``hits.total`` counts — ES's ``hits.total`` / ``_count``
     semantics — as a filter that selects exactly them (None: every live
-    doc) and their number. The agg scope (>=1 scoring term + filters)
-    except where it would overcount: a node whose total is "rank" and
-    msm > 1 run their exact predicate over every local doc instead."""
+    doc) and their number; aggregations run over the same filter. It is
+    :func:`_agg_scope_filter` (>=1 scoring term + filters, plus pinned's
+    ids) except where that would overcount: a node whose total is "rank"
+    and msm > 1 run their exact predicate over every local doc instead."""
     node = t.node
     if node is not None and node.total == "rank":
         ids = [h["doc_id"] for h in node.rank(s, s.n_local, t.filter)]
@@ -2561,12 +2562,9 @@ def _execute_body(s, body: dict) -> dict:
     if "suggest" in body:
         resp["suggest"] = _run_suggest(s, body["suggest"])
     if aggs:
-        # a positional node's aggs count its exact matches, the docs
-        # hits.total counts, not every doc holding one of its words
-        exact = t.node is not None and t.node.total == "rank"
+        # aggs count exactly the docs hits.total counts
         resp["aggregations"] = _run_aggs(
-            s, aggs, matched[0] if exact else _agg_scope_filter(s, t),
-            qterms=(t.terms or t.should_terms or None))
+            s, aggs, matched[0], qterms=(t.terms or t.should_terms or None))
     return resp
 
 

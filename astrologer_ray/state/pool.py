@@ -1,33 +1,41 @@
-"""Query-serving actor pools: replicas, doc-range shards, multiple indexes.
+"""Query-serving actor pools: one shards x replicas topology.
 
-The reference serves queries from Elasticsearch indexes with per-index
-shard counts (/root/reference/es/indices.go:28,58,97) and the cluster
-scatter-gathers per query. ``ShardedSearchPool`` is the Ray-native analog
-partitioned by DOCUMENT (the ES topology): each long-lived actor loads only
-the posting chunks of its doc-id range (``chunk_id`` ranges — memory per
-actor shrinks with the pool), so every doc it scores has its COMPLETE
-multi-term score, computed from corpus-global statistics (df, N, avgdl
-from ``stats/meta.json``). Per-actor top-k lists therefore merge EXACTLY by
-(score desc, doc_id asc) (property-tested against a single full
-Searcher). Term-hash sharding (``Searcher(shards=)``) remains for
-term-partitioned placements, where partial scores merge by per-doc sum
-instead.
+The reference configures each Elasticsearch index with a shard count and
+a replica count (the reference's ``es/indices.go:28,58,97``). A pool here is
+the same idea over ``ray.remote(Searcher)`` actors: a list of *groups*,
+each a list of actors holding the same documents. A request reaches one
+live replica of every group. The three public classes only build the
+groups:
 
-This is the one place the Dataset API genuinely can't express the
-topology: ``map_batches`` routes a row to ONE actor, while a sharded query
-must reach ALL actors. Ray places, starts, kills and introspects the pool
-actors (``ray.remote(Searcher)``); requests do not travel as Ray tasks.
-The first time a pool needs an actor it runs :func:`_serve` on it through
-``actor.__ray_call__``, which opens an HMAC-authenticated
-``multiprocessing.connection`` listener on the node IP Ray reports and
-serves one connection from a daemon thread. That persistent connection
-(``TCP_NODELAY``) carries every request: one message per actor per pool
-call, a list of ``(method, args, kwargs)`` calls answered by a list of
+- ``ReplicatedSearchPool``: one group of N full-index replicas;
+- ``ShardedSearchPool``: one group per doc-id chunk range. Each actor
+  loads only its range's posting chunks and scores every doc it holds
+  completely from corpus-global statistics (df, N, avgdl), so per-group
+  top-k lists merge EXACTLY by (score desc, doc_id asc);
+- ``MultiIndexSearchPool``: one group per index, each scoring from its
+  own statistics (ES ``query_then_fetch``); hits carry ``_index``.
+
+Answers merge only when a pool has more than one group. Within a group,
+calls go round-robin over its live replicas; a replica whose connection
+fails leaves its group and its share goes to the group's next live
+replica, and a group with no live replica left fails the request with an
+error naming the group and its actors.
+
+This is the one place the Dataset API can't express the topology:
+``map_batches`` routes a row to ONE actor, while a sharded query must
+reach every group. Ray places, starts, kills and introspects the pool
+actors; requests do not travel as Ray tasks. The first time a pool needs
+an actor it runs :func:`_serve` on it through ``actor.__ray_call__``,
+which opens an HMAC-authenticated ``multiprocessing.connection``
+listener on the node IP Ray reports and serves one connection from a
+daemon thread. That persistent connection (``TCP_NODELAY``) carries
+every request: one message per actor per pool call, a list of
+``(method, args, kwargs)`` calls answered by a list of
 ``(ok, value_or_exception)``. Only ``search``, ``phrase_search``,
 ``search_synonyms`` and ``run_dsl`` are served. A pool sends to every
-actor before it reads any reply, so the actors work in parallel; a remote
-exception is re-raised with its own type and the remote traceback in its
-notes.
+actor before it reads any reply, so the actors work in parallel; a
+remote exception is re-raised with its own type and the remote traceback
+in its notes.
 
 Several driver threads may share a pool: each connection carries one
 request at a time (a lock is held from send to receive). Calls made
@@ -168,12 +176,24 @@ def _values(replies: list[tuple]) -> list:
     return [v for _ok, v in replies]
 
 
-class _ConnectedPool:
-    """Request transport of the pools: one connection per actor in
-    ``self.actors``, opened on first use."""
+class _Pool:
+    """Actors in groups; a group's actors hold the same documents, and a
+    request reaches one live replica of every group. Answers merge only
+    when there is more than one group (:func:`_merge_topk` for hits,
+    ``shard_plan`` + ``merge_sharded`` for DSL bodies); with one group
+    the replica's answer is returned as it is. ``labels`` (one per
+    group) tag every hit with ``_index``. Connections open on first use,
+    one per actor in ``self.actors``."""
 
-    def __init__(self, actors: list):
-        self.actors = actors
+    def __init__(self, where: list[str], groups: list[list],
+                 labels: list[str] | None = None):
+        self.actors = [a for g in groups for a in g]
+        self._where = where
+        self._labels = labels
+        ids = iter(range(len(self.actors)))
+        self._groups = [[next(ids) for _ in g] for g in groups]
+        self._live = [list(g) for g in self._groups]
+        self._rr = 0
         self._links: dict[int, _Link] = {}
         self._mu = threading.Lock()
 
@@ -232,6 +252,125 @@ class _ConnectedPool:
                 link.lock.release()
         return {i: pickle.loads(b) for i, b in raw.items()}, failed
 
+    def _route(self, calls: list) -> list[list]:
+        """Serve ``calls`` on every group: within a group they go
+        round-robin over its live replicas, one message per actor, every
+        send before any receive. A replica whose connection fails leaves
+        its group and its share is resent to the group's next live
+        replica; a group left with none raises ``ConnectionError``. With
+        no calls, every live actor gets an empty message, answered once
+        it has loaded. Returns, per group, the values in call order; a
+        failed call re-raises."""
+        with self._mu:
+            live = [list(g) for g in self._live]
+            start = self._rr
+            self._rr += len(calls)
+        shares: dict[int, list[tuple[int, int]]] = {}
+        for g, members in enumerate(live):
+            if not members:
+                raise self._lost(g)
+            if not calls:
+                shares.update((i, []) for i in members)
+            for p in range(len(calls)):
+                shares.setdefault(members[(start + p) % len(members)],
+                                  []).append((g, p))
+        out = [[None] * len(calls) for _ in live]
+        while shares:
+            replies, failed = self._exchange(
+                {i: [calls[p] for _g, p in s] for i, s in shares.items()})
+            for i, rs in replies.items():
+                for (g, p), r in zip(shares[i], rs):
+                    out[g][p] = r
+            resend: dict[int, list[tuple[int, int]]] = {}
+            for i, err in failed.items():
+                g = next(g for g, m in enumerate(self._groups) if i in m)
+                with self._mu:
+                    self._live[g] = left = [j for j in self._live[g] if j != i]
+                if not left:
+                    raise self._lost(g) from err
+                j = next((j for j in left if j > i), left[0])
+                resend.setdefault(j, []).extend(shares[i])
+            shares = resend
+        return [_values(col) for col in out]
+
+    def _lost(self, g: int) -> ConnectionError:
+        return ConnectionError(
+            f"{self._where[g]} has no live replica left: "
+            + ", ".join(repr(self.actors[i]) for i in self._groups[g]))
+
+    def _hits(self, calls: list, ks: list[int]) -> list[list[dict]]:
+        """Hit lists for ``calls``, labeled, merged across groups."""
+        per_group = self._route(calls)
+        for name, lists in zip(self._labels or (), per_group):
+            for hits in lists:
+                for h in hits:
+                    h["_index"] = name
+        if len(per_group) == 1:
+            return per_group[0]
+        return [_merge_topk([lists[p] for lists in per_group], k)
+                for p, k in enumerate(ks)]
+
+    def warm(self) -> None:
+        """Open every connection; blocks until every actor has loaded its
+        index state (a dead replica leaves its group)."""
+        self._route([])
+
+    def search(self, terms: list[str], k: int = 10, **kw) -> list[dict]:
+        """BM25 top-k of pre-tokenized ``terms`` (indexes in one pool must
+        share an analyzer mode on this path; DSL bodies are analyzed by
+        each actor)."""
+        return self._hits([("search", (terms,), {"k": k, **kw})], [k])[0]
+
+    def search_many(self, queries: list[tuple[list[str], int]]
+                    ) -> list[list[dict]]:
+        """``queries[i] = (terms, k)``; each actor gets its whole share in
+        one message."""
+        return self._hits([("search", (terms,), {"k": k})
+                           for terms, k in queries], [k for _t, k in queries])
+
+    def phrase_search(self, terms: list[str], k: int = 10, **kw) -> list[dict]:
+        """Consecutive-phrase top-k (the index needs ``positions=True``)."""
+        return self._hits([("phrase_search", (terms,), {"k": k, **kw})],
+                          [k])[0]
+
+    def search_synonyms(self, groups: list[list[str]], k: int = 10,
+                        **kw) -> list[dict]:
+        """Synonym-group top-k: an actor blends its docs' tf over each
+        group, with df / N from the global dictionary."""
+        return self._hits([("search_synonyms", (groups,), {"k": k, **kw})],
+                          [k])[0]
+
+    def execute_dsl(self, body: dict, shard_size: int | None = None) -> dict:
+        """One ES ``_search`` body: ``msearch([body], shard_size)[0]``."""
+        return self.msearch([body], shard_size)[0]
+
+    def msearch(self, bodies: list[dict],
+                shard_size: int | None = None) -> list[dict]:
+        """ES ``_msearch``: responses in request order. Across groups each
+        body runs rewritten by ``shard_plan`` and the responses merge by
+        ``merge_sharded``: hits exactly by (score desc, doc_id asc), totals
+        sum, aggregations by key or by their merge op, ``terms`` with ES
+        shard semantics (``shard_size`` per group +
+        ``doc_count_error_upper_bound``); a shape that does not merge
+        raises before anything is sent. Bodies that touch doc attributes
+        (aggs, sort, top_hits, ...) need the pool built with
+        ``load_docs=True``."""
+        merge = len(self._groups) > 1
+        if merge:
+            from astrologer_ray.state.dsl import merge_sharded, shard_plan
+
+            plans = [shard_plan(b, shard_size) for b in bodies]
+            bodies = [sb for sb, _plan in plans]
+        per_group = self._route([("run_dsl", (b,), {}) for b in bodies])
+        for name, resps in zip(self._labels or (), per_group):
+            for r in resps:
+                for h in r["hits"]["hits"]:
+                    h["_index"] = name
+        if not merge:
+            return per_group[0]
+        return [merge_sharded([resps[p] for resps in per_group], plan)
+                for p, (_sb, plan) in enumerate(plans)]
+
     def shutdown(self) -> None:
         import ray
 
@@ -244,283 +383,80 @@ class _ConnectedPool:
         self.actors = []
 
 
-class _ScatterPool(_ConnectedPool):
-    """Every request reaches every actor; an actor's documents live
-    nowhere else, so a lost actor fails the request."""
+def _searchers(num_cpus: float):
+    import ray
 
-    def _where(self, i: int) -> str:
-        raise NotImplementedError
+    from astrologer_ray.state.searcher import Searcher
 
-    def _scatter(self, calls: list) -> list[list]:
-        """Send all ``calls`` to every actor; per call, the actors'
-        results in actor order."""
-        replies, failed = self._exchange(
-            {i: calls for i in range(len(self.actors))})
-        if failed:
-            i = min(failed)
-            raise ConnectionError(
-                f"{self._where(i)} is unreachable ({self.actors[i]!r}) and "
-                "no other actor holds its documents") from failed[i]
-        return [list(col) for col in
-                zip(*(_values(replies[i]) for i in range(len(self.actors))))]
-
-    def warm(self) -> None:
-        """Open every connection; blocks until every actor has loaded."""
-        self._scatter([])
+    return ray.remote(num_cpus=num_cpus)(Searcher)
 
 
-class ShardedSearchPool(_ScatterPool):
-    """N long-lived Searcher actors, each owning a disjoint shard group.
+def _name(index_dir: str) -> str:
+    return os.path.basename(os.path.normpath(index_dir))
 
-    ``search`` scatters one query to every actor and merges; ``search_many``
-    sends each actor the whole query list in one message, so every actor
-    works through its share at once.
-    """
+
+class ReplicatedSearchPool(_Pool):
+    """One group of ``n_actors`` full-index replicas: each query routes
+    to ONE of them (the ES replica topology). Replicas scale QPS until the
+    node's memory bandwidth saturates, and a query costs one round trip
+    instead of a scatter-gather fan-out; prefer doc-range shards when
+    per-actor memory is the constraint."""
 
     def __init__(self, index_dir: str, n_actors: int = 4, *,
                  load_docs: bool = False, num_cpus: float = 1.0):
-        import ray
+        cls = _searchers(num_cpus)
+        super().__init__(
+            [f"index {_name(index_dir)!r}"],
+            [[cls.remote(index_dir, load_docs=load_docs)
+              for _ in range(max(1, n_actors))]])
 
+
+class ShardedSearchPool(_Pool):
+    """One group per doc-id chunk range, ``n_actors`` ranges at most (one
+    per chunk): each actor loads only its range's posting chunks and doc
+    attributes, so memory per actor shrinks with the pool, and every doc
+    it scores has its complete score from corpus-global statistics."""
+
+    def __init__(self, index_dir: str, n_actors: int = 4, *,
+                 load_docs: bool = False, num_cpus: float = 1.0):
         from astrologer_ray.pipelines.build import load_meta
         from astrologer_ray.pipelines.segments import combined_stats
-        from astrologer_ray.state.searcher import Searcher
 
         meta = load_meta(index_dir)
         # doc count spans base + delta segments (pipelines/segments.py)
         n_docs = combined_stats(index_dir)["n_docs"]
         max_chunk = (max(0, n_docs - 1) >> int(meta["chunk_bits"])) + 1
         n_actors = max(1, min(n_actors, max_chunk))
-        bounds = np.linspace(0, max_chunk, n_actors + 1).astype(int)
-        self.chunk_ranges = [(int(lo), int(hi))
-                             for lo, hi in zip(bounds[:-1], bounds[1:])]
-        actor_cls = ray.remote(num_cpus=num_cpus)(Searcher)
-        super().__init__([actor_cls.remote(index_dir, load_docs=load_docs,
-                                           chunk_range=r)
-                          for r in self.chunk_ranges])
-        self.n_actors = n_actors
-
-    def _where(self, i: int) -> str:
-        lo, hi = self.chunk_ranges[i]
-        return f"shard {i} (chunks [{lo}, {hi}))"
-
-    def search(self, terms: list[str], k: int = 10, **kw) -> list[dict]:
-        (hit_lists,) = self._scatter([("search", (terms,), {"k": k, **kw})])
-        return _merge_topk(hit_lists, k)
-
-    def search_many(self, queries: list[tuple[list[str], int]]) -> list[list[dict]]:
-        """Batch scatter-gather: queries[i] = (terms, k), every actor gets
-        the whole list in one message."""
-        per_query = self._scatter([("search", (terms,), {"k": k})
-                                   for terms, k in queries])
-        return [_merge_topk(hl, k) for hl, (_terms, k) in zip(per_query, queries)]
-
-    def phrase_search(self, terms: list[str], k: int = 10, **kw) -> list[dict]:
-        """Scatter a consecutive-phrase query (requires positions=True index).
-        Doc-range actors each return complete scores for their docs, so the
-        top-k lists merge exactly, same as :meth:`search`."""
-        (hit_lists,) = self._scatter(
-            [("phrase_search", (terms,), {"k": k, **kw})])
-        return _merge_topk(hit_lists, k)
-
-    def search_synonyms(self, groups: list[list[str]], k: int = 10,
-                        **kw) -> list[dict]:
-        """Scatter a synonym-group query. Exact on this pool topology:
-        actors are doc-RANGE shards, so each owns every member's postings
-        for its docs and blends tf locally, while df/N come from the
-        global dictionary — per-doc scores are complete and the top-k
-        lists merge exactly."""
-        (hit_lists,) = self._scatter(
-            [("search_synonyms", (groups,), {"k": k, **kw})])
-        return _merge_topk(hit_lists, k)
-
-    def execute_dsl(self, body: dict, shard_size: int | None = None
-                    ) -> dict:
-        """Scatter one ES ``_search`` body to every doc-range shard and
-        merge (the ES data-node topology): hits merge EXACTLY (each shard
-        scores its docs completely from global stats), totals sum, and
-        aggregations merge per :func:`astrologer_ray.state.dsl.shard_plan`
-        — bucket counts by key, metrics by their merge op, ``terms`` with
-        ES shard semantics (``shard_size`` per shard +
-        ``doc_count_error_upper_bound``). Unsupported shapes raise
-        client-side before any scatter."""
-        return self.msearch([body], shard_size)[0]
-
-    def msearch(self, bodies: list[dict],
-                shard_size: int | None = None) -> list[dict]:
-        """ES ``_msearch`` over the sharded topology: every body is
-        scattered to ALL shards (one message per shard), responses merge
-        per body in request order."""
-        from astrologer_ray.state.dsl import merge_sharded, shard_plan
-
-        plans = [shard_plan(b, shard_size) for b in bodies]
-        per_body = self._scatter([("run_dsl", (sb,), {}) for sb, _ in plans])
-        return [merge_sharded(resps, plan)
-                for resps, (_sb, plan) in zip(per_body, plans)]
+        bounds = np.linspace(0, max_chunk, n_actors + 1).astype(int).tolist()
+        ranges = list(zip(bounds[:-1], bounds[1:]))
+        cls = _searchers(num_cpus)
+        super().__init__(
+            [f"shard {i} (chunks [{lo}, {hi}))"
+             for i, (lo, hi) in enumerate(ranges)],
+            [[cls.remote(index_dir, load_docs=load_docs, chunk_range=r)]
+             for r in ranges])
 
 
-class ReplicatedSearchPool(_ConnectedPool):
-    """N full-index Searcher replicas; each query routes to ONE actor.
+class MultiIndexSearchPool(_Pool):
+    """ES multi-index search (``GET /idx1,idx2/_search``): one group per
+    INDEX, one actor each, and every hit carries ``_index`` (the index
+    directory's basename).
 
-    The ES replica topology (replicas serve whole queries, cf. the
-    reference's per-index shard/replica settings,
-    /root/reference/es/indices.go:28,58,97): adding replicas scales QPS
-    until the node's memory bandwidth saturates, and every query costs one
-    round trip instead of ``ShardedSearchPool``'s scatter-gather fan-out.
-    Prefer replicas when the index fits comfortably in one actor's heap;
-    prefer doc-range shards when per-actor memory (or bandwidth per
-    working set) is the constraint.
-
-    A replica whose connection fails (EOF, reset, broken pipe) leaves the
-    rotation and its share of the request is resent to the next live
-    replica; with none left the request raises ``ConnectionError``.
-    """
-
-    def __init__(self, index_dir: str, n_actors: int = 4, *,
-                 load_docs: bool = False, num_cpus: float = 1.0):
-        import ray
-
-        from astrologer_ray.state.searcher import Searcher
-
-        actor_cls = ray.remote(num_cpus=num_cpus)(Searcher)
-        super().__init__([actor_cls.remote(index_dir, load_docs=load_docs)
-                          for _ in range(max(1, n_actors))])
-        self.n_actors = len(self.actors)
-        self._live = list(range(self.n_actors))
-        self._rr = 0
-
-    def _drop(self, failed: dict[int, Exception]) -> dict[int, int]:
-        """Take the failed replicas out of the rotation; returns each one's
-        successor among the live replicas."""
-        with self._mu:
-            self._live = [i for i in self._live if i not in failed]
-            live = list(self._live)
-        if not live:
-            raise ConnectionError(
-                "no live replica left: " + ", ".join(map(repr, self.actors))
-            ) from next(iter(failed.values()), None)
-        return {i: next((j for j in live if j > i), live[0]) for i in failed}
-
-    def _route(self, calls: list) -> list:
-        """Serve ``calls`` round-robin over the live replicas, one message
-        per replica; returns the values in call order."""
-        with self._mu:
-            live = list(self._live)
-            start = self._rr
-            self._rr += len(calls)
-        if not live:
-            self._drop({})  # raises: every replica was lost before
-        shares: dict[int, list[int]] = {}
-        for p in range(len(calls)):
-            shares.setdefault(live[(start + p) % len(live)], []).append(p)
-        out: list = [None] * len(calls)
-        while shares:
-            replies, failed = self._exchange(
-                {i: [calls[p] for p in ps] for i, ps in shares.items()})
-            for i, rs in replies.items():
-                for p, r in zip(shares[i], rs):
-                    out[p] = r
-            resend: dict[int, list[int]] = {}
-            if failed:
-                for i, j in self._drop(failed).items():
-                    resend.setdefault(j, []).extend(shares[i])
-            shares = resend
-        return _values(out)
-
-    def warm(self) -> None:
-        """Open every replica's connection; blocks until every replica has
-        loaded its index state (a dead one leaves the rotation)."""
-        _replies, failed = self._exchange({i: [] for i in self._live})
-        if failed:
-            self._drop(failed)
-
-    def search(self, terms: list[str], k: int = 10, **kw) -> list[dict]:
-        return self._route([("search", (terms,), {"k": k, **kw})])[0]
-
-    def search_many(self, queries: list[tuple[list[str], int]]) -> list[list[dict]]:
-        """Round-robin of whole queries; each replica gets its share in one
-        message, all sent before any reply is read."""
-        return self._route([("search", (terms,), {"k": k})
-                            for terms, k in queries])
-
-    def msearch(self, bodies: list[dict]) -> list[dict]:
-        """ES ``_msearch``: N ``_search`` request bodies served in one
-        round trip — each body routes whole to one replica (round-robin,
-        one message per replica), responses return in request order like
-        ES's ``responses`` array. Bodies that touch doc attrs (aggs, sort,
-        top_hits, ...) need the pool built with ``load_docs=True``."""
-        return self._route([("run_dsl", (b,), {}) for b in bodies])
-
-
-class MultiIndexSearchPool(_ScatterPool):
-    """ES multi-index search (``GET /idx1,idx2/_search``): one Searcher
-    actor per INDEX; a request scatters to every index and responses
-    merge with the same contract as doc-range shards.
-
-    This is the time-partitioned-indices topology (the classic ES
-    operating pattern the reference's ingest feeds: one index per
-    period, queries span several). Semantics follow ES's default
-    ``query_then_fetch``: each index scores its hits from ITS OWN
-    statistics (df/N/avgdl), merged by score as-is — identical text can
-    rank differently across indexes, exactly as in ES. Every hit
-    carries ``_index`` (the index directory's basename). Doc ids are
-    per-index; (score desc, doc_id asc) ordering is made deterministic
-    across indexes by the stable merge (ties keep request index order).
-
-    Each actor re-analyzes the request body with its own index's
-    tokenizer mode (translation happens inside ``run_dsl``), so mixed
-    ``simple``/``code`` indexes compose correctly on the DSL path.
-    """
+    The time-partitioned-indices topology (one index per period, queries
+    span several). Semantics follow ES's default ``query_then_fetch``:
+    each index scores its hits from ITS OWN statistics (df/N/avgdl) and
+    the hits merge by score as they are, so identical text can rank
+    differently across indexes, exactly as in ES. Doc ids are per index;
+    ties keep request index order (stable merge). Each actor analyzes a
+    DSL body with its own index's tokenizer mode, so mixed
+    ``simple``/``code`` indexes compose on the DSL path."""
 
     def __init__(self, index_dirs: list[str], *, load_docs: bool = False,
                  num_cpus: float = 1.0):
-        import ray
-
-        from astrologer_ray.state.searcher import Searcher
-
         if not index_dirs:
             raise ValueError("MultiIndexSearchPool needs >= 1 index dir")
-        actor_cls = ray.remote(num_cpus=num_cpus)(Searcher)
-        super().__init__([actor_cls.remote(d, load_docs=load_docs)
-                          for d in index_dirs])
-        self.names = [os.path.basename(os.path.normpath(d))
-                      for d in index_dirs]
-
-    def _where(self, i: int) -> str:
-        return f"index {self.names[i]!r}"
-
-    def _label(self, resps: list[dict]) -> list[dict]:
-        for name, r in zip(self.names, resps):
-            for h in r["hits"]["hits"]:
-                h["_index"] = name
-        return resps
-
-    def search(self, terms: list[str], k: int = 10, **kw) -> list[dict]:
-        """Plain BM25 top-k across all indexes (pre-tokenized terms —
-        indexes must share an analyzer mode on this path; use
-        :meth:`execute_dsl` for mixed modes)."""
-        (hit_lists,) = self._scatter([("search", (terms,), {"k": k, **kw})])
-        for name, hits in zip(self.names, hit_lists):
-            for h in hits:
-                h["_index"] = name
-        return _merge_topk(hit_lists, k)
-
-    def execute_dsl(self, body: dict, shard_size: int | None = None
-                    ) -> dict:
-        """Scatter one ES ``_search`` body to every index and merge:
-        hits by (score desc, doc_id asc; ties keep index order), totals
-        sum, aggregations by the :func:`~astrologer_ray.state.dsl.
-        shard_plan` per-kind merge ops (bucket counts by key sum across
-        indexes — exact)."""
-        return self.msearch([body], shard_size)[0]
-
-    def msearch(self, bodies: list[dict],
-                shard_size: int | None = None) -> list[dict]:
-        """ES ``_msearch`` across indexes: every body scatters to ALL
-        indexes (one message per index), merged per body in request
-        order."""
-        from astrologer_ray.state.dsl import merge_sharded, shard_plan
-
-        plans = [shard_plan(b, shard_size) for b in bodies]
-        per_body = self._scatter([("run_dsl", (sb,), {}) for sb, _ in plans])
-        return [merge_sharded(self._label(resps), plan)
-                for resps, (_sb, plan) in zip(per_body, plans)]
+        cls = _searchers(num_cpus)
+        names = [_name(d) for d in index_dirs]
+        super().__init__([f"index {n!r}" for n in names],
+                         [[cls.remote(d, load_docs=load_docs)]
+                          for d in index_dirs], labels=names)

@@ -1,4 +1,4 @@
-"""Query serving: dictionary + posting shards in an actor pool, MaxScore top-k.
+"""Query serving: dictionary + posting chunks in an actor pool, MaxScore top-k.
 
 The reference's query half is Elasticsearch: term/bool filters and top-k
 served from an index pre-sorted by paging token
@@ -67,8 +67,7 @@ class _ChunkStore:
     decoded whole, and its score bound is the max of its cached weights.
     """
 
-    _SCALARS = ("chunk_id", "shard", "n", "first_doc_id", "last_doc_id",
-                "sum_tf")
+    _SCALARS = ("chunk_id", "n", "first_doc_id", "last_doc_id", "sum_tf")
 
     def __init__(self, post: pa.Table | None):
         self._ranges: dict[str, tuple[int, int]] = {}
@@ -270,22 +269,18 @@ class DocAttrs(MutableMapping):
 class Searcher:
     """Holds dictionary + posting chunks (+ doc attributes) for serving.
 
-    ``shards``: optional subset of term shards to load (term-hash sharding,
-    the analog of the reference's per-index shard counts,
-    /root/reference/es/indices.go:28,58). A full cluster deployment runs one
-    actor (pool) per shard set and merges per-shard top-k on the caller —
-    candidates merge exactly because scores depend only on global stats.
+    One searcher serves the whole index, or one doc-id chunk range of it
+    (a doc-range shard, the ES shard topology); a pool of them serves
+    replicas, shards or several indexes (:mod:`astrologer_ray.state.pool`).
     """
 
-    def __init__(self, index_dir: str, shards: list[int] | None = None,
-                 load_docs: bool = True,
+    def __init__(self, index_dir: str, *, load_docs: bool = True,
                  chunk_range: tuple[int, int] | None = None):
-        """``shards`` restricts to term-hash shards (term-partitioned
-        serving: per-shard scores are PARTIAL for multi-term queries and
-        must merge by per-doc sum). ``chunk_range=(lo, hi)`` restricts to
-        doc-id chunk ranges instead (document-partitioned serving, the ES
-        topology): every loaded doc's score is COMPLETE, so per-actor
-        top-k lists merge exactly — see state/pool.ShardedSearchPool.
+        """``chunk_range=(lo, hi)`` restricts to the docs of chunks
+        ``[lo, hi)`` (document-partitioned serving): every loaded doc's
+        score is COMPLETE, computed from corpus-global statistics, so
+        per-shard top-k lists merge exactly — see
+        state/pool.ShardedSearchPool.
 
         ``load_docs`` loads the docs sidecar into ``doc_attrs``
         (:class:`DocAttrs`): ``dl`` as a numpy array, the string columns
@@ -305,8 +300,6 @@ class Searcher:
         sum_dl = sum(int(m["sum_dl"]) for _, m in gens)
         self.avgdl = (sum_dl / self.N) if self.N else 0.0
         self.mode = self.meta["mode"]
-        self.n_shards = int(self.meta["n_shards"])
-        self.shards = set(shards) if shards is not None else None
         self.chunk_range = chunk_range
         # local doc-id space: a doc-range shard only ever touches docs in
         # [doc_lo, doc_hi) — masks/accumulators are sized to the range, and
@@ -321,13 +314,10 @@ class Searcher:
         self.n_local = max(0, self.doc_hi - self.doc_lo)
 
         filt = None
-        if self.shards is not None:
-            filt = pc.field("shard").isin(list(self.shards))
         if chunk_range is not None:
-            cr = (pc.field("chunk_id") >= int(chunk_range[0])) & (
+            filt = (pc.field("chunk_id") >= int(chunk_range[0])) & (
                 pc.field("chunk_id") < int(chunk_range[1])
             )
-            filt = cr if filt is None else (filt & cr)
         # thread-pool the per-file reads: zstd decode + IO release the GIL,
         # and the serial file loop was the largest cold-start cost left
         # (~2/3 of actor init on the 1M-doc bench index)
@@ -412,9 +402,10 @@ class Searcher:
         # an explicit column list: an index written before doc lengths
         # left the postings still carries a per-posting dl stream and
         # per-block lists, which this read skips, so both formats load
-        # through the same path
-        post_cols = (POSTINGS_SCHEMA_POS if self.meta.get("positions")
-                     else POSTINGS_SCHEMA).names
+        # through the same path. The term-hash ``shard`` column that the
+        # build writes has no reader here.
+        post_cols = [c for c in (POSTINGS_SCHEMA_POS if self.meta.get(
+            "positions") else POSTINGS_SCHEMA).names if c != "shard"]
         tables = []
         for gdir, _ in gens:
             gt = _read_many(
@@ -494,13 +485,6 @@ class Searcher:
             allowed = np.ones(self.n_local, dtype=bool)
         allowed[self.deleted - self.doc_lo] = False
         return allowed
-
-    def owns_term(self, term: str) -> bool:
-        if self.shards is None:
-            return True
-        from astrologer_ray.functions.codec import term_hash64
-
-        return term_hash64(term) % self.n_shards in self.shards
 
     # decoded-impacts LRU cache: a term's weights are query-independent,
     # and Zipf head terms (df ~ N) recur constantly — without the cache
@@ -611,8 +595,7 @@ class Searcher:
         bsts, must, msm)``: ``(term, is_should)`` pairs, their cached
         entries and boosts (None: unboosted), whether must terms were
         asked for, and how many should terms a match needs."""
-        sterms = sorted({t for t in should_terms or () if self.owns_term(t)}
-                        - set(qterms))
+        sterms = sorted(set(should_terms or ()) - set(qterms))
         terms = ([(t, False) for t in qterms if t in self.postings]
                  + [(t, True) for t in sterms if t in self.postings])
         ents = [self._term_entry(t) for t, _ in terms]
@@ -677,7 +660,7 @@ class Searcher:
         """Every doc matching any of ``terms`` within ``allowed``, as
         ``(local ids ascending, BM25 scores)`` — the scored candidate set
         before any top-k cut."""
-        qterms = sorted({t for t in terms if self.owns_term(t)})
+        qterms = sorted(set(terms))
         return self._score(self._clauses(qterms, boosts=boosts), None,
                            allowed, None)
 
@@ -1310,7 +1293,7 @@ class Searcher:
         if k <= 0:
             return []
         self._check_boosts(boosts)
-        qterms = sorted({t for t in terms if self.owns_term(t)})
+        qterms = sorted(set(terms))
         allowed = self._lang_filter_mask(lang, filter)
 
         if strategy not in ("auto", "taat", "wand"):
@@ -1401,8 +1384,7 @@ class Searcher:
             return []
         exp = [t for t in self.expand_prefix(terms[-1],
                                              max_terms=max_expansions)
-               if FIELD_SEP not in t and self.owns_term(t)
-               and t in self.postings]
+               if FIELD_SEP not in t and t in self.postings]
         if not exp:
             return []
         stride, m = self.PHRASE_POS_STRIDE, len(fixed)
@@ -1444,8 +1426,7 @@ class Searcher:
         full, prefix = terms[:-1], terms[-1]
         exp = [t for t in self.expand_prefix(prefix,
                                              max_terms=max_expansions)
-               if FIELD_SEP not in t and self.owns_term(t)
-               and t in self.postings]
+               if FIELD_SEP not in t and t in self.postings]
         allowed = self._live_mask(filter)
         loc, sc = self._matches(full, allowed)
         scores = np.zeros(self.n_local, dtype=np.float64)
@@ -1471,8 +1452,7 @@ class Searcher:
         ``terms`` occurs as a consecutive phrase (one key per occurrence,
         start shifted by ``len(terms)`` to stay positive); None when a
         phrase term is absent from this searcher's dictionary."""
-        if any(t not in self.postings or not self.owns_term(t)
-               for t in terms):
+        if any(t not in self.postings for t in terms):
             return None
         stride = self.PHRASE_POS_STRIDE
         off = len(terms)  # keeps the shifted position strictly positive
@@ -1671,7 +1651,7 @@ class Searcher:
         if k <= 0:
             return []
         organic = self.search(terms, k=k + len(pinned), filter=filter)
-        qterms = sorted({t for t in terms if self.owns_term(t)})
+        qterms = sorted(set(terms))
         contribs = [self._term_contribution(t) for t in qterms
                     if t in self.postings]
         pin_set = set()
@@ -1756,10 +1736,8 @@ class Searcher:
         Exact TAAT over dense local accumulators (tf must be blended
         BEFORE the BM25 saturation, so the per-term cached weight arrays
         cannot be reused — each member's postings are decoded raw).
-        Topology: exact on a single searcher or a doc-range shard pool
-        (tf sums are per-doc-local and df/N are global); a term-hash
-        shard pool would split a group's members across actors, so
-        callers there must route whole groups to the shard owning them.
+        Exact on a single searcher and over doc-range shards: tf sums
+        are per-doc-local and df/N are global.
         """
         if k <= 0 or not groups:
             return []
@@ -1774,7 +1752,7 @@ class Searcher:
         nmatch = np.zeros(self.n_local, dtype=np.int32)
         for group in groups:
             members = sorted(
-                {t for t in group if self.owns_term(t) and t in self.postings}
+                {t for t in group if t in self.postings}
             )
             # blended docFreq over ALL members in the dictionary (absent
             # members contribute df=0, exactly like Lucene's per-segment
@@ -2141,8 +2119,7 @@ class Searcher:
         terms = list(terms)
         if not terms:
             return []
-        if any(t not in self.postings or not self.owns_term(t)
-               for t in terms):
+        if any(t not in self.postings for t in terms):
             return []
         m = len(terms)
         match = self._span_chains(
@@ -2201,8 +2178,7 @@ class Searcher:
         index, fully vectorized (one boolean mask over the term's
         occurrence array). Score: the term's BM25 contribution on
         matching docs — :meth:`span_near`'s documented contract."""
-        if (k <= 0 or int(end) <= 0 or term not in self.postings
-                or not self.owns_term(term)):
+        if k <= 0 or int(end) <= 0 or term not in self.postings:
             return []
         d, p = self._phrase_occurrences(term)
         match = np.unique(d[p + 1 <= int(end)])
@@ -2242,8 +2218,7 @@ class Searcher:
         if k <= 0:
             return []
         terms = big + [little]
-        if any(t not in self.postings or not self.owns_term(t)
-               for t in terms):
+        if any(t not in self.postings for t in terms):
             return []
         m = len(big)
 
@@ -2284,11 +2259,10 @@ class Searcher:
         per-occurrence window test is two searchsorteds on a packed
         ``doc<<32 | pos`` key. Score: ``include``'s BM25 contribution on
         matching docs — :meth:`span_near`'s documented contract."""
-        if (k <= 0 or include not in self.postings
-                or not self.owns_term(include)):
+        if k <= 0 or include not in self.postings:
             return []
         d_i, p_i = self._phrase_occurrences(include)
-        if exclude in self.postings and self.owns_term(exclude):
+        if exclude in self.postings:
             d_e, p_e = self._phrase_occurrences(exclude)
             key_e = d_e.astype(np.int64) * (1 << 32) + p_e.astype(np.int64)
             base = d_i.astype(np.int64) * (1 << 32)
@@ -2620,8 +2594,7 @@ class Searcher:
             return []
         boosts = search_kw.get("boosts") or {}
         all_terms = list(terms) + list(search_kw.get("should_terms") or [])
-        uniq = sorted({t for t in all_terms
-                       if t in self.postings and self.owns_term(t)})
+        uniq = sorted({t for t in all_terms if t in self.postings})
         decoded = {}
         for t in uniq:
             parts = [decode_chunk(row) for row in self.postings[t]]
@@ -2668,8 +2641,8 @@ class Searcher:
     def run_dsl(self, body: dict) -> dict:
         """Execute one ES ``_search`` request body against this searcher
         (actor-remotable entry point for :mod:`astrologer_ray.state.dsl` —
-        a ``ray.remote(Searcher)`` replica serves whole DSL bodies, the
-        unit `ReplicatedSearchPool.msearch` round-robins)."""
+        a ``ray.remote(Searcher)`` pool actor serves whole DSL bodies, the
+        unit a pool's ``msearch`` sends)."""
         from astrologer_ray.state.dsl import execute_dsl
 
         return execute_dsl(self, body)
@@ -2714,9 +2687,8 @@ class SearchStage:
     Output rows: (qid, rank, doc_id, score).
     """
 
-    def __init__(self, index_dir: str, shards: list[int] | None = None,
-                 filter=None):
-        self.searcher = Searcher(index_dir, shards=shards)
+    def __init__(self, index_dir: str, filter=None):
+        self.searcher = Searcher(index_dir)
         self.filter = filter
 
     def __call__(self, batch: pa.Table) -> pa.Table:

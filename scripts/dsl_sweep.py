@@ -12,7 +12,10 @@ Bodies, in order:
   span, intervals, dis_max, constant_score, pinned, boosting,
   function_score, script_score, rank_feature, distance_feature), for
   field sorts over plain, node and filter-only queries, and for the
-  compositions one node cannot serve.
+  compositions one node cannot serve;
+- ``PER_KIND`` seeded bool bodies with should clauses,
+  ``minimum_should_match`` >= 2 and aggregations. They come last, so the
+  bodies above keep their draws.
 
 Each line holds the body and either its ``execute_dsl`` response or, for a
 body that raises, the exception class and message. Keys are sorted and
@@ -237,6 +240,18 @@ def node_bodies(d: _Draw) -> list[dict]:
     for i in range(4 * PER_KIND):
         body = d.wrap(queries[i % 4](), aggs=False)
         body["sort"] = sorts[int(r.integers(len(sorts)))]
+        out.append(body)
+    for _ in range(PER_KIND):
+        n = int(r.integers(3, 5))
+        words = d.pick(d.head, 2) + d.pick(d.mid, n - 2)
+        q = {"bool": {"should": [{"match": {"content": w}} for w in words],
+                      "minimum_should_match": int(r.integers(2, n))}}
+        fl = d.filters()
+        if fl:
+            q["bool"]["filter"] = fl
+        body = d.wrap(q, aggs=False)
+        body["aggs"] = {"langs": {"terms": {"field": "lang"}},
+                        "dl": {"avg": {"field": "dl"}}}
         out.append(body)
     return out
 

@@ -452,11 +452,12 @@ def test_cli_msearch_sharded(ray_session, small_corpus_dir, tmp_path,
     import json
 
     from astrologer_ray.cli import main
+    from astrologer_ray.pipelines.build import build_index
 
     idx = str(tmp_path / "msidx2")
-    assert main(["build", small_corpus_dir, idx, "--partition-rows",
-                 "64"]) == 0
-    capsys.readouterr()
+    # 64-doc chunks: the default 2**20-doc chunk would put the whole
+    # corpus in one shard, and one shard's answer is not merged
+    build_index(small_corpus_dir, idx, partition_rows=64, chunk_bits=6)
     nd = tmp_path / "bodies.ndjson"
     nd.write_text(json.dumps(
         {"query": {"match": {"content": "index merge"}}, "size": 3,

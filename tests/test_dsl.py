@@ -21,6 +21,16 @@ def dsl_index(ray_session, small_corpus_dir, tmp_path_factory):
     return index_dir
 
 
+@pytest.fixture(scope="module")
+def shard_index(ray_session, small_corpus_dir, tmp_path_factory):
+    """``dsl_index`` with 64-doc chunks, so three doc-range shards hold
+    docs (the default 2**20-doc chunk puts the corpus in one)."""
+    index_dir = str(tmp_path_factory.mktemp("dslidx6"))
+    build_index(small_corpus_dir, index_dir, partition_rows=64,
+                positions=True, chunk_bits=6)
+    return index_dir
+
+
 def _ids_scores(hits):
     return [(h["_id"], h["_score"]) for h in hits["hits"]["hits"]]
 
@@ -1454,13 +1464,13 @@ def test_msearch_pool_matches_direct(dsl_index):
 
 
 @pytest.mark.parametrize("topology", ["replicated", "sharded"])
-def test_pool_reraises_a_refused_body_and_keeps_serving(dsl_index, topology):
+def test_pool_reraises_a_refused_body_and_keeps_serving(shard_index, topology):
     """A body ``execute_dsl`` refuses raises the same exception class
     through the pool, with the remote traceback in its notes, and the next
     request on the same connections succeeds (no reply left unread)."""
     from astrologer_ray.state.pool import ReplicatedSearchPool, ShardedSearchPool
 
-    s = Searcher(dsl_index, load_docs=True)
+    s = Searcher(shard_index, load_docs=True)
     w1 = max(s.df, key=lambda t: s.df[t])
     refused = {"size": 0, "aggs": {"langs": {"terms": {
         "field": "lang", "missing": "none"}}}}
@@ -1470,9 +1480,10 @@ def test_pool_reraises_a_refused_body_and_keeps_serving(dsl_index, topology):
             "aggs": {"langs": {"terms": {"field": "lang", "size": 3}}}}
     want = execute_dsl(s, good)
     if topology == "replicated":
-        pool = ReplicatedSearchPool(dsl_index, n_actors=1, load_docs=True)
+        pool = ReplicatedSearchPool(shard_index, n_actors=1, load_docs=True)
     else:
-        pool = ShardedSearchPool(dsl_index, n_actors=3, load_docs=True)
+        pool = ShardedSearchPool(shard_index, n_actors=3, load_docs=True)
+        assert len(pool.actors) == 3
     try:
         for _ in range(2):
             with pytest.raises(NotImplementedError, match="missing") as ei:
@@ -1758,14 +1769,15 @@ def test_runtime_mappings_and_source_projection(dsl_index):
     assert "x" not in s.doc_attrs
 
 
-def test_sharded_execute_dsl_matches_full(dsl_index):
+def test_sharded_execute_dsl_matches_full(shard_index):
     """Scatter-gather DSL over doc-range shards == the full searcher:
     exact hit merge, by-key/by-op agg merge, ES terms shard semantics."""
     from astrologer_ray.state.pool import ShardedSearchPool
 
-    s = Searcher(dsl_index, load_docs=True)
+    s = Searcher(shard_index, load_docs=True)
     w1 = max(s.df, key=lambda t: s.df[t])
-    pool = ShardedSearchPool(dsl_index, n_actors=3, load_docs=True)
+    pool = ShardedSearchPool(shard_index, n_actors=3, load_docs=True)
+    assert len(pool.actors) == 3
     try:
         body = {"query": {"match": {"content": w1}}, "size": 6,
                 "aggs": {
@@ -1908,7 +1920,7 @@ def test_sampler_and_missing_subaggs(dsl_index):
         s.doc_attrs.pop("maybe", None)
 
 
-def test_sharded_merge_randomized_equivalence(dsl_index):
+def test_sharded_merge_randomized_equivalence(shard_index):
     """Seeded sweep over the shard-mergeable body space: every generated
     body must produce the same response from the 3-shard scatter-gather
     as from the full searcher (terms buckets compared as sets when the
@@ -1917,12 +1929,13 @@ def test_sharded_merge_randomized_equivalence(dsl_index):
 
     from astrologer_ray.state.pool import ShardedSearchPool
 
-    s = Searcher(dsl_index, load_docs=True)
+    s = Searcher(shard_index, load_docs=True)
     terms_by_df = [t for t, _ in sorted(s.df.items(),
                                         key=lambda kv: -kv[1])[:10]
                    if "\x1e" not in t]
     rng = random.Random(31)
-    pool = ShardedSearchPool(dsl_index, n_actors=3, load_docs=True)
+    pool = ShardedSearchPool(shard_index, n_actors=3, load_docs=True)
+    assert len(pool.actors) == 3
     metric_kinds = ["sum", "min", "max", "value_count", "avg", "stats"]
     try:
         for trial in range(18):

@@ -377,3 +377,63 @@ def test_positional_node_aggs_count_its_matches(node_env, shape):
     assert sum(want.values()) > 0
     assert buckets == dict(want)
     assert got["hits"]["total"]["value"] == sum(buckets.values())
+
+
+def _lang_counts(s: Searcher, contents: list[str], keep) -> dict:
+    """Brute-force ``lang`` counts over the live local docs for which
+    ``keep(doc_id, set of its tokens)`` holds."""
+    from collections import Counter
+
+    live = np.ones(s.N, dtype=bool)
+    if s.deleted is not None:
+        live[s.deleted] = False
+    want = Counter()
+    for d in range(s.doc_lo, s.doc_hi):
+        if live[d] and keep(d, set(tokenize(contents[d] or "", mode=s.mode))):
+            want[s.doc_attrs.value("lang", d - s.doc_lo)] += 1
+    return dict(want)
+
+
+def _agg_buckets(s: Searcher, query: dict) -> tuple[dict, int]:
+    got = execute_dsl(s, {"size": 0, "query": query, "aggs": {
+        "langs": {"terms": {"field": "lang", "size": 50}}}})
+    return ({b["key"]: b["doc_count"]
+             for b in got["aggregations"]["langs"]["buckets"]},
+            got["hits"]["total"]["value"])
+
+
+@pytest.mark.parametrize("shape", ["single", "shard", "seg"])
+def test_min_should_match_aggs_count_the_total(node_env, shape):
+    """Under a bool with should clauses and msm 2, the aggs count exactly
+    the docs holding two of the words, the docs hits.total counts."""
+    s = node_env["searchers"][shape]
+    words = node_env["words"][1][:3]
+    buckets, total = _agg_buckets(s, {"bool": {
+        "should": [{"match": {"content": w}} for w in words],
+        "minimum_should_match": 2}})
+    want = _lang_counts(s, node_env["contents"][shape],
+                        lambda _d, toks: len(toks & set(words)) >= 2)
+    assert sum(want.values()) > 0
+    assert buckets == want
+    assert total == sum(buckets.values())
+
+
+@pytest.mark.parametrize("shape", ["single", "shard", "seg"])
+def test_pinned_aggs_count_the_total(node_env, shape):
+    """Under ``pinned`` the aggs count the pinned ids beside the organic
+    matches, the docs hits.total counts."""
+    s = node_env["searchers"][shape]
+    word = node_env["words"][1][0]
+    contents = node_env["contents"][shape]
+    missing = [d for d in range(s.doc_lo, s.doc_hi)
+               if word not in tokenize(contents[d] or "", mode=s.mode)]
+    # two docs without the word, one doc before the local range (the
+    # shard's), and an id past the index
+    pins = [missing[0], missing[-1], max(s.doc_lo - 1, 0), s.N + 5]
+    buckets, total = _agg_buckets(s, {"pinned": {
+        "ids": pins, "organic": {"match": {"content": word}}}})
+    want = _lang_counts(s, contents,
+                        lambda d, toks: word in toks or d in pins)
+    assert sum(want.values()) > 0
+    assert buckets == want
+    assert total == sum(buckets.values())

@@ -82,30 +82,6 @@ def test_search_text_and_decorate(index_and_oracle):
     assert ranks == list(range(len(hits)))
 
 
-def test_sharded_searchers_merge_to_full(index_and_oracle):
-    """Scatter-gather: per-shard top-k merged == unsharded top-k (J5/O2)."""
-    index_dir, contents, _ = index_and_oracle
-    full = Searcher(index_dir)
-    shards = [Searcher(index_dir, shards=[i]) for i in range(4)]
-    terms_by_df = sorted(full.df.items(), key=lambda kv: -kv[1])
-    terms = [t for t, _ in terms_by_df[:4]]
-    k = 10
-    # per-doc partial scores from each shard merge by SUM (a doc's terms may
-    # span shards); final rank by (score desc, doc_id asc)
-    partial: dict[int, list] = {}
-    for sh in shards:
-        for h in sh.search(terms, k=len(contents)):
-            partial.setdefault(h["doc_id"], []).append(h["score"])
-    merged = sorted(
-        ((d, float(np.sum(sorted(ss)))) for d, ss in partial.items()),
-        key=lambda t: (-t[1], t[0]),
-    )[:k]
-    want = [(h["doc_id"], h["score"]) for h in full.search(terms, k=k)]
-    assert [d for d, _ in merged] == [d for d, _ in want]
-    for (_, sa), (_, sb) in zip(merged, want):
-        assert abs(sa - sb) < 1e-12
-
-
 def test_search_stage_batch(index_and_oracle):
     import ray.data as rd
 
