@@ -30,16 +30,18 @@ by the brute-force BM25 oracle and property tests); ``CodeTokenizer`` is the
 vectorized batch implementation used in the hot path — one regex pass per
 row in C, then pure-numpy CSR expansion with a cross-batch token-split cache
 (it is a callable-class state, so in Ray it runs as an actor-pool stage with
-the cache amortised across batches).
+the cache amortised across batches). Only ``CodeTokenizer``'s batch
+methods import pandas (for ``pd.factorize``), so importing this module for
+query analysis does not.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -197,12 +199,13 @@ class CodeTokenizer:
         return ids
 
     def _refresh_vocab_arr(self) -> None:
-        if len(self._vocab_arr) != len(self._vocab):
+        n0 = len(self._vocab_arr)
+        if n0 != len(self._vocab):
+            # term ids follow dict insertion order: the new terms are the
+            # keys past the first n0
             arr = np.empty(len(self._vocab), dtype=object)
-            arr[len(self._vocab_arr):] = [
-                t for t, i in sorted(self._vocab.items(), key=lambda kv: kv[1])
-            ][len(self._vocab_arr):]
-            arr[: len(self._vocab_arr)] = self._vocab_arr
+            arr[:n0] = self._vocab_arr
+            arr[n0:] = list(itertools.islice(self._vocab, n0, None))
             self._vocab_arr = arr
 
     def batch_counts(self, contents) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -220,6 +223,8 @@ class CodeTokenizer:
         (see :meth:`_count_from_raw`)."""
         res = self._batch_count_ids(contents, positions=positions)
         doc_idx, term_ids, tfs, dls = res[:4]
+        import pandas as pd
+
         # hash-based factorize, not np.unique: callers re-sort postings
         # anyway (spimi lexsorts by bucket/hash/doc), so first-appearance
         # code order is fine and saves the O(P log P) sort
@@ -255,6 +260,8 @@ class CodeTokenizer:
         for r in raw_lists:
             all_raw[pos : pos + len(r)] = r
             pos += len(r)
+
+        import pandas as pd
 
         # hash-based factorize beats sort-based np.unique ~10x on strings
         inv, uniq = pd.factorize(all_raw)
@@ -368,6 +375,8 @@ class CodeTokenizer:
         position (0-based index in the doc's emitted token stream) of every
         occurrence, grouped by posting — posting ``i``'s ascending position
         run occupies ``pos_flat[cum_tf[i]:cum_tf[i+1]]``."""
+        import pandas as pd
+
         id_arrays = [self._ids_for_raw(u if isinstance(u, str) else str(u)) for u in uniq]
         counts = np.fromiter((len(a) for a in id_arrays), dtype=np.int64, count=len(uniq))
         flat = (

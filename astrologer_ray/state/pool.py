@@ -21,6 +21,10 @@ fails leaves its group and its share goes to the group's next live
 replica, and a group with no live replica left fails the request with an
 error naming the group and its actors.
 
+Every pool's actors come from one ``ray.remote(Searcher)`` class per
+``num_cpus``, built once per driver (:func:`_searchers`), so only the
+first pool pays for exporting it to the cluster.
+
 This is the one place the Dataset API can't express the topology:
 ``map_batches`` routes a row to ONE actor, while a sharded query must
 reach every group. Ray places, starts, kills and introspects the pool
@@ -45,11 +49,13 @@ thread, beside the connection thread, and must not overlap pool requests.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import socket
 import threading
 import traceback
+import warnings
 from multiprocessing.connection import AuthenticationError, Client, Listener
 
 import numpy as np
@@ -383,7 +389,12 @@ class _Pool:
         self.actors = []
 
 
+@functools.cache
 def _searchers(num_cpus: float):
+    """The ``ray.remote(Searcher)`` class for ``num_cpus``, built once per
+    driver. The first ``.remote()`` on a new class exports it (0.12-0.17 s
+    of a pool's set-up on one core); Ray re-exports a kept class by itself
+    after ``ray.shutdown()`` / ``ray.init()``."""
     import ray
 
     from astrologer_ray.state.searcher import Searcher
@@ -413,9 +424,10 @@ class ReplicatedSearchPool(_Pool):
 
 class ShardedSearchPool(_Pool):
     """One group per doc-id chunk range, ``n_actors`` ranges at most (one
-    per chunk): each actor loads only its range's posting chunks and doc
-    attributes, so memory per actor shrinks with the pool, and every doc
-    it scores has its complete score from corpus-global statistics."""
+    per chunk; asking for more warns and serves one range per chunk): each
+    actor loads only its range's posting chunks and doc attributes, so
+    memory per actor shrinks with the pool, and every doc it scores has its
+    complete score from corpus-global statistics."""
 
     def __init__(self, index_dir: str, n_actors: int = 4, *,
                  load_docs: bool = False, num_cpus: float = 1.0):
@@ -426,6 +438,13 @@ class ShardedSearchPool(_Pool):
         # doc count spans base + delta segments (pipelines/segments.py)
         n_docs = combined_stats(index_dir)["n_docs"]
         max_chunk = (max(0, n_docs - 1) >> int(meta["chunk_bits"])) + 1
+        if n_actors > max_chunk:
+            warnings.warn(
+                f"ShardedSearchPool: {n_actors} shards requested, but "
+                f"{_name(index_dir)!r} has {max_chunk} doc-id chunk(s) of "
+                f"2**{meta['chunk_bits']} docs, so {max_chunk} range(s) are "
+                "served (build with a smaller chunk_bits for more)",
+                UserWarning, stacklevel=2)
         n_actors = max(1, min(n_actors, max_chunk))
         bounds = np.linspace(0, max_chunk, n_actors + 1).astype(int).tolist()
         ranges = list(zip(bounds[:-1], bounds[1:]))

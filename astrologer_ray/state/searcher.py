@@ -31,6 +31,19 @@ finds its match set, scores it — the positional ones through the same
 Doc attributes (``DocAttrs``) keep string columns as dictionary codes:
 string filters, ``lang=``, terms-style aggregations and collapse compare
 and count int32 codes.
+
+Opening a searcher and serving requests need no pandas, so a pool
+replica starts without importing it: unfiltered parquet reads go through
+``pq.ParquetFile`` rather than ``pq.read_table`` (``pyarrow.dataset``),
+Arrow numbers reach numpy through :func:`_numpy` (``np.frombuffer`` over
+the column's buffers), and string categories through ``to_pylist``.
+pyarrow 16 imports pandas on ``to_numpy``, ``np.asarray``, ``pa.array``
+/ ``pa.scalar`` from Python values, ``Table.group_by`` and expression
+filters. What still reaches those calls: a ``chunk_range`` open (its
+reads are filtered), an open that folds ``updates/`` overlays, a string
+runtime field, a ``prefix`` filter on a column that is not
+dictionary-coded, the wildcard / regexp / suggest term expansions and
+``_termvectors`` by id.
 """
 
 from __future__ import annotations
@@ -52,6 +65,46 @@ from astrologer_ray.stages.spimi import FIELD_SEP
 from astrologer_ray.state.bm25 import bm25_term_weight, idf
 
 _UB_SAFETY = 1.0 + 1e-12
+
+
+def _read(path: str, columns=None, filters=None) -> pa.Table:
+    """One parquet file. Only a filtered read goes through
+    ``pq.read_table`` (``pyarrow.dataset``, which imports pandas)."""
+    if filters is not None:
+        return pq.read_table(path, columns=columns, filters=filters)
+    with pq.ParquetFile(path) as f:
+        return f.read(columns=columns)
+
+
+def _numpy(col, null=None) -> np.ndarray:
+    """An integer or float Arrow column (array or chunked array) as numpy:
+    an ``np.frombuffer`` view of its data buffer, since pyarrow's own
+    ``to_numpy`` and ``np.asarray`` import pandas. A column with nulls
+    needs ``null``: the slots the validity bitmap marks null hold it, in a
+    copy."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    t = col.type
+    if pa.types.is_floating(t):
+        dtype = np.dtype(f"f{t.bit_width // 8}")
+    elif pa.types.is_integer(t):
+        kind = "i" if pa.types.is_signed_integer(t) else "u"
+        dtype = np.dtype(f"{kind}{t.bit_width // 8}")
+    else:
+        raise TypeError(f"not an integer or float column: {t}")
+    n, off = len(col), col.offset
+    if n == 0:
+        return np.empty(0, dtype)
+    out = np.frombuffer(col.buffers()[1], dtype)[off:off + n]
+    if col.null_count == 0:
+        return out
+    if null is None:
+        raise ValueError(f"{t} column has {col.null_count} nulls")
+    bits = np.frombuffer(col.buffers()[0], np.uint8)
+    valid = np.unpackbits(bits, bitorder="little")[off:off + n].view(bool)
+    out = out.copy()
+    out[~valid] = null
+    return out
 
 
 class _ChunkStore:
@@ -77,7 +130,7 @@ class _ChunkStore:
         if post is None or post.num_rows == 0:
             return
         enc = post.column("term").combine_chunks().dictionary_encode()
-        codes = enc.indices.to_numpy()
+        codes = _numpy(enc.indices)
         # invariant: every term's chunk rows form ONE contiguous row run
         # (global term sort, or per-term-sorted hash buckets concatenated —
         # a term lives in exactly one bucket). First-appearance dictionary
@@ -100,7 +153,7 @@ class _ChunkStore:
         names = set(post.column_names)
         for c in self._SCALARS:
             if c in names:
-                self._scalar[c] = post.column(c).combine_chunks().to_numpy()
+                self._scalar[c] = _numpy(post.column(c))
         for c in (n for n in post.column_names if n.endswith("_bytes")):
             arr = post.column(c).combine_chunks()
             if arr.null_count:
@@ -161,12 +214,14 @@ def _dict_encode(col) -> tuple[np.ndarray, np.ndarray] | None:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     enc = col.dictionary_encode()
-    order = pc.array_sort_indices(enc.dictionary).to_numpy()
+    order = _numpy(pc.array_sort_indices(enc.dictionary))
     rank = np.empty(len(order) + 1, dtype=np.int32)
     rank[order] = np.arange(len(order), dtype=np.int32)
     rank[-1] = -1  # the null index -1 stays -1
-    codes = rank[pc.fill_null(enc.indices, -1).to_numpy()]
-    return codes, np.asarray(enc.dictionary, dtype=object)[order]
+    codes = rank[_numpy(enc.indices, null=-1)]
+    cats = np.empty(len(order), dtype=object)
+    cats[:] = enc.dictionary.to_pylist()
+    return codes, cats[order]
 
 
 def _value_codes(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +273,7 @@ class DocAttrs(MutableMapping):
             col = np.asarray(col)
         enc = _dict_encode(col) if arrow or col.dtype.kind in "OU" else None
         if enc is None:
-            self._cols[name] = col.to_numpy() if arrow else col
+            self._cols[name] = _numpy(col) if arrow else col
         else:
             self._cols[name] = None
             self._codes[name] = enc
@@ -325,9 +380,9 @@ class Searcher:
 
         def _read_many(paths, **kw):
             if len(paths) <= 1:
-                return [pq.read_table(p, **kw) for p in paths]
+                return [_read(p, **kw) for p in paths]
             with ThreadPoolExecutor(min(8, len(paths))) as ex:
-                return list(ex.map(lambda p: pq.read_table(p, **kw), paths))
+                return list(ex.map(lambda p: _read(p, **kw), paths))
 
         # docs sidecar first: the allocator keeps the string columns'
         # transient encode memory, and the postings load below reuses it
@@ -353,10 +408,10 @@ class Searcher:
             _read_many(dfiles, columns=cols, filters=dfilt)
         ).sort_by("doc_id")
         if docs.num_rows:
-            did = docs.column("doc_id").to_numpy()
+            did = _numpy(docs.column("doc_id"))
             assert did[0] == self.doc_lo and did[-1] == self.doc_hi - 1
         assert docs.num_rows == self.n_local
-        self.dl = docs.column("dl").to_numpy()
+        self.dl = _numpy(docs.column("dl"))
         self.doc_attrs = DocAttrs()
         if load_docs:
             for c in cols[1:]:
@@ -373,10 +428,10 @@ class Searcher:
             for uf in sorted(
                 glob.glob(os.path.join(index_dir, "updates", "*.parquet"))
             ):
-                ut = pq.read_table(uf, filters=dfilt)
+                ut = _read(uf, filters=dfilt)
                 if not ut.num_rows:
                     continue
-                pos = ut.column("doc_id").to_numpy() - self.doc_lo
+                pos = _numpy(ut.column("doc_id")) - self.doc_lo
                 for c in ut.column_names:
                     if c == "doc_id":
                         continue
@@ -440,12 +495,20 @@ class Searcher:
              for p in sorted(glob.glob(os.path.join(gdir, "dict", "*.parquet")))],
             columns=["term", "df", "cf"],
         ))
+        terms = dt.column("term")
+        df, cf = _numpy(dt.column("df")), _numpy(dt.column("cf"))
         if len(gens) > 1:
-            # per-generation dictionaries: global df/cf are the sums
-            dt = dt.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-            dt = dt.rename_columns(["term", "df", "cf"])
-        self.df = dict(zip(dt.column("term").to_pylist(), dt.column("df").to_pylist()))
-        self.cf = dict(zip(dt.column("term").to_pylist(), dt.column("cf").to_pylist()))
+            # per-generation dictionaries: global df/cf are the sums, per
+            # term in first-appearance order
+            enc = terms.combine_chunks().dictionary_encode()
+            terms, idx = enc.dictionary, _numpy(enc.indices)
+            sums = np.zeros((2, len(terms)), np.int64)
+            np.add.at(sums[0], idx, df)
+            np.add.at(sums[1], idx, cf)
+            df, cf = sums
+        terms = terms.to_pylist()
+        self.df = dict(zip(terms, df.tolist()))
+        self.cf = dict(zip(terms, cf.tolist()))
 
         # tombstone deletes (pipelines/segments.delete_by_query — the ES
         # _delete_by_query-between-merges model): deleted docs are masked
@@ -455,10 +518,8 @@ class Searcher:
         self.deleted: np.ndarray | None = None
         delf = sorted(glob.glob(os.path.join(index_dir, "deletes", "*.parquet")))
         if delf:
-            dd = pa.concat_tables(
-                [pq.read_table(p, columns=["doc_id"]) for p in delf]
-            )
-            ids = np.unique(np.asarray(dd["doc_id"], dtype=np.int64))
+            dd = pa.concat_tables([_read(p, columns=["doc_id"]) for p in delf])
+            ids = np.unique(_numpy(dd["doc_id"]).astype(np.int64))
             ids = ids[(ids >= self.doc_lo) & (ids < self.doc_hi)]
             if len(ids):
                 self.deleted = ids  # GLOBAL ids, limited to this doc range

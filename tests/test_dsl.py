@@ -1769,6 +1769,25 @@ def test_runtime_mappings_and_source_projection(dsl_index):
     assert "x" not in s.doc_attrs
 
 
+def test_sharded_pool_warns_when_it_serves_fewer_ranges(dsl_index):
+    """More shards than the index has doc-id chunks: the pool serves one
+    range per chunk and says so with a ``UserWarning`` naming both
+    counts (the 306-doc index is one 2**20-doc chunk)."""
+    from astrologer_ray.state.pool import ShardedSearchPool
+
+    s = Searcher(dsl_index, load_docs=True)
+    body = {"query": {"match": {"content": max(s.df, key=s.df.get)}},
+            "size": 5}
+    with pytest.warns(UserWarning,
+                      match=r"3 shards requested.* 1 doc-id chunk.* 1 range"):
+        pool = ShardedSearchPool(dsl_index, n_actors=3, load_docs=True)
+    try:
+        assert len(pool.actors) == 1
+        assert pool.execute_dsl(body) == execute_dsl(s, body)
+    finally:
+        pool.shutdown()
+
+
 def test_sharded_execute_dsl_matches_full(shard_index):
     """Scatter-gather DSL over doc-range shards == the full searcher:
     exact hit merge, by-key/by-op agg merge, ES terms shard semantics."""
