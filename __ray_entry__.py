@@ -5407,14 +5407,14 @@ FROM ranked WHERE rn <= 12 ORDER BY rn
 
 def docs_sharded_dsl_agg(sf_dir: str):
     """Scatter-gather DSL over doc-range shards (r5): one _search body
-    (match + terms agg + stats + sum) runs on a 3-shard
-    ShardedSearchPool and the merged response must equal the DuckDB
+    (match + terms agg + stats + sum) runs on a 2-shard
+    ShardedSearchPool (one shard per doc-id chunk of the index) and the merged response must equal the DuckDB
     oracle — external evidence that the per-shard agg merge (counts by
     key, stats via partials) is exact. dl sums are integers, so the
     float totals hash bit-stably."""
     from astrologer_ray.state.pool import ShardedSearchPool
 
-    pool = ShardedSearchPool(_documents_index(sf_dir), n_actors=3,
+    pool = ShardedSearchPool(_documents_index(sf_dir), n_actors=2,
                              load_docs=True)
     try:
         resp = pool.execute_dsl({"size": 0, "query": {

@@ -27,12 +27,17 @@ into one token where SQL yields two), and no length cap applies.
 
 ``tokenize``/``token_counts`` are the small reference implementations (used
 by the brute-force BM25 oracle and property tests); ``CodeTokenizer`` is the
-vectorized batch implementation used in the hot path — one regex pass per
-row in C, then pure-numpy CSR expansion with a cross-batch token-split cache
-(it is a callable-class state, so in Ray it runs as an actor-pool stage with
-the cache amortised across batches). Only ``CodeTokenizer``'s batch
-methods import pandas (for ``pd.factorize``), so importing this module for
-query analysis does not.
+vectorized batch implementation used in the hot path — a numpy byte-class
+run split over the Arrow buffers (or one regex pass per row), pure-numpy
+CSR expansion of each raw token into its emitted terms with a cross-batch
+token-split cache, and then ONE ``np.sort`` of packed int64 keys ``(term
+rank, doc[, position])`` that both counts the postings (runs of equal keys
+give tf) and leaves them in the SPIMI partial's row order (terms by
+``(term_hash64 % n_buckets, term_hash64)``, docs ascending). It is a
+callable-class state, so in Ray it runs as an actor-pool stage with the
+cache amortised across batches. Only the list-input path imports pandas
+(``pd.factorize`` of the raw tokens), so importing this module for query
+analysis does not.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 MAX_TERM_LEN = 64
+# width limit of the packed (term rank, doc[, position]) posting sort keys:
+# int64 stays non-negative; a batch whose keys need more is split by doc range
+KEY_BITS = 63
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
 _PART_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]+|[a-z]+|[0-9]+")
@@ -77,7 +85,8 @@ del _c, _ch
 def _has_ctrl_chars(arr: pa.Array) -> bool:
     """True iff any string in ``arr`` contains a scrub-target control char.
 
-    One bincount pass over the raw utf-8 data buffer (control bytes are
+    One compare over the raw utf-8 data buffer picks the (rare) bytes below
+    32, and only those are checked against \\t \\n \\r (control bytes are
     ASCII, so they can't appear inside multi-byte codepoints). Used to skip
     the scrub's full read+write copy in the overwhelmingly common
     no-control-chars case."""
@@ -91,8 +100,8 @@ def _has_ctrl_chars(arr: pa.Array) -> bool:
     if hi <= lo:
         return False
     b = np.frombuffer(arr.buffers()[2], dtype=np.uint8)[lo:hi]
-    cnt = np.bincount(b, minlength=256)
-    return bool(cnt[:32].sum() - cnt[9] - cnt[10] - cnt[13] > 0)
+    c = b[b < 32]
+    return bool(((c != 9) & (c != 10) & (c != 13)).any())
 
 
 def split_token(token: str) -> tuple[str, ...]:
@@ -152,21 +161,32 @@ def analyze(text: str, mode: str = "code") -> dict:
 class CodeTokenizer:
     """Vectorized batch tokenizer with a cross-batch split cache.
 
-    ``batch_counts(contents)`` returns ``(doc_idx, terms, tfs, dls)``:
-      doc_idx : int32[P]  index into ``contents`` for each posting
-      terms   : object[P] term strings
-      tfs     : int32[P]  term frequency of ``terms[i]`` in doc ``doc_idx[i]``
-      dls     : int64[D]  document length (total emitted terms) per content
+    ``batch_postings(contents, n_buckets, positions, keywords)`` returns a
+    batch's postings already in SPIMI partial order, as ``(doc_idx, rank,
+    terms, hashes, tfs, dls, pos_flat)``:
+      terms    : object[T] the batch's distinct terms, ordered by
+                 ``(term_hash64 % n_buckets, term_hash64)``
+      hashes   : int64[T]  ``term_hash64`` of each term
+      rank     : int64[P]  index into ``terms`` for each posting
+      doc_idx  : int32[P]  index into ``contents`` for each posting
+      tfs      : int32[P]  term frequency of posting ``i``
+      dls      : int64[D]  document length (total emitted terms) per content
+      pos_flat : int32[sum(tfs)] with ``positions=True``, else None: the
+                 ascending positions of each posting, posting after posting
+    Postings are sorted by ``(rank, doc_idx)``. ``batch_counts`` and
+    ``batch_counts_coded`` are views of the same result.
 
     Per-doc results are exactly ``token_counts(content, mode)`` (property
-    tested). State (vocab + split cache) amortises across batches, which is
-    why index-build stages run this as an actor pool (SURVEY §2.3 ST4).
+    tested). State (vocab, term hashes, split cache) amortises across
+    batches, which is why index-build stages run this as an actor pool
+    (SURVEY §2.3 ST4).
     """
 
     def __init__(self, mode: str = "code"):
         self.mode = mode
         self._vocab: dict[str, int] = {}
         self._vocab_arr: np.ndarray = np.empty(0, dtype=object)
+        self._hash_arr: np.ndarray = np.empty(0, dtype=np.int64)
         # raw token -> np.int64[] of emitted term ids
         self._tok2ids: dict[str, np.ndarray] = {}
 
@@ -203,43 +223,146 @@ class CodeTokenizer:
         if n0 != len(self._vocab):
             # term ids follow dict insertion order: the new terms are the
             # keys past the first n0
+            new = list(itertools.islice(self._vocab, n0, None))
             arr = np.empty(len(self._vocab), dtype=object)
             arr[:n0] = self._vocab_arr
-            arr[n0:] = list(itertools.islice(self._vocab, n0, None))
+            arr[n0:] = new
             self._vocab_arr = arr
+            self._hash_arr = np.concatenate(
+                [self._hash_arr, _term_hashes(new)])
 
     def batch_counts(self, contents) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        doc_idx, term_ids, tfs, dls = self._batch_count_ids(contents)
+        """``(doc_idx, terms, tfs, dls)``: posting ``i`` is ``terms[i]``
+        with frequency ``tfs[i]`` in ``contents[doc_idx[i]]``."""
+        doc_idx, rank, terms, _hashes, tfs, dls, _pos = self.batch_postings(contents)
+        return doc_idx, terms[rank], tfs, dls
+
+    def batch_counts_coded(self, contents, positions: bool = False) -> tuple:
+        """``(doc_idx, codes, uniq_terms, tfs, dls)`` with ``terms[i] ==
+        uniq_terms[codes[i]]``: :meth:`batch_postings` without the term
+        hashes (``codes`` are the term ranks). ``positions=True`` appends
+        the posting-grouped position array."""
+        doc_idx, rank, terms, _hashes, tfs, dls, pos_flat = self.batch_postings(
+            contents, positions=positions)
+        out = (doc_idx, rank, terms, tfs, dls)
+        return out + (pos_flat,) if positions else out
+
+    def batch_postings(self, contents, n_buckets: int = 1,
+                       positions: bool = False, keywords=None) -> tuple:
+        """The batch's postings in partial order (see the class docstring).
+
+        ``keywords`` is ``(doc, terms)``, extra postings with tf 1 and no
+        ``dls`` share (keyword-field terms: ``doc`` int64 row indices,
+        ``terms`` a string array holding no repeated ``(doc, term)``
+        pair); with ``positions`` each carries the placeholder position 0,
+        so every posting's position count equals its tf, as the postings
+        codec requires.
+
+        Counting and ordering is one ``np.sort`` of packed int64 keys
+        ``rank << (doc_bits + pos_bits) | doc << pos_bits | position``
+        (position only with ``positions``): equal ``(rank, doc)`` runs are
+        the postings and their lengths the tfs, and the low bits come out
+        as each posting's ascending positions."""
+        inv, uniq, doc_of_tok, ndocs = self._raw_tokens(contents)
+        id_arrays = [self._ids_for_raw(u if isinstance(u, str) else str(u))
+                     for u in uniq]
+        counts = np.fromiter((len(a) for a in id_arrays), dtype=np.int64,
+                             count=len(uniq))
+        flat = (np.concatenate(id_arrays) if len(id_arrays)
+                else np.empty(0, dtype=np.int64))
+        starts = np.cumsum(counts) - counts
+
+        # CSR gather: expand each raw token occurrence into its emitted ids.
+        tok_cnt = counts[inv]
+        tok_start = starts[inv]
+        if not tok_cnt.all():
+            # zero-emit occurrences (over-long tokens) would collide in the
+            # boundary scatter below — drop them up front (rare path)
+            nz = tok_cnt > 0
+            tok_cnt, tok_start = tok_cnt[nz], tok_start[nz]
+            doc_of_tok = doc_of_tok[nz]
+        # gather-index via one scatter + cumsum (2 passes over the emitted
+        # stream instead of arange + two np.repeat)
+        emit_cum = np.concatenate(([0], np.cumsum(tok_cnt)))
+        m = int(emit_cum[-1])
+        step = np.ones(m, dtype=np.int64)
+        if m:
+            step[0] = tok_start[0]
+            step[emit_cum[1:-1]] = tok_start[1:] - tok_start[:-1] - tok_cnt[:-1] + 1
+        gidx = np.cumsum(step)
+        dls = np.bincount(doc_of_tok, weights=tok_cnt,
+                          minlength=ndocs).astype(np.int64)
+
+        # term ranks: the batch's distinct terms (content, then keyword)
+        # ordered by (bucket, hash) — the per-term work is over the few
+        # distinct terms, never over the postings
+        present, flat_local = np.unique(flat, return_inverse=True)
         self._refresh_vocab_arr()
-        return doc_idx, self._vocab_arr[term_ids], tfs, dls
+        terms = self._vocab_arr[present]
+        hashes = self._hash_arr[present]
+        kw_doc = kw_code = np.empty(0, dtype=np.int64)
+        if keywords is not None and len(keywords[0]):
+            kw_doc = np.asarray(keywords[0], dtype=np.int64)
+            enc = pc.dictionary_encode(keywords[1])
+            kw_code = enc.indices.to_numpy().astype(np.int64) + len(terms)
+            kw_terms = enc.dictionary.to_numpy(zero_copy_only=False)
+            terms = np.concatenate([terms, kw_terms])
+            hashes = np.concatenate([hashes, _term_hashes(kw_terms)])
+        order = np.argsort(hashes, kind="stable")
+        order = order[np.argsort(hashes[order] % n_buckets, kind="stable")]
+        rank = np.empty(len(terms), dtype=np.int64)
+        rank[order] = np.arange(len(terms), dtype=np.int64)
+        kw_rank, flat_rank = rank[kw_code], rank[flat_local]
+        rank_bits = max(len(terms) - 1, 0).bit_length()
+        dl_cum = np.cumsum(dls) - dls  # each doc's first emit slot
 
-    def batch_counts_coded(
-        self, contents, positions: bool = False
-    ) -> tuple:
-        """Term-deduplicated variant: (doc_idx, codes, uniq_terms, tfs, dls)
-        with ``terms[i] == uniq_terms[codes[i]]`` — callers that need
-        per-unique-term work (hashing, bucketing) skip a second factorize.
-        ``positions=True`` appends the posting-grouped position array
-        (see :meth:`_count_from_raw`)."""
-        res = self._batch_count_ids(contents, positions=positions)
-        doc_idx, term_ids, tfs, dls = res[:4]
-        import pandas as pd
+        def sort_range(d0: int, d1: int):
+            """``(rank, doc, tf, pos_flat)`` of docs ``[d0, d1)``, sorted
+            by ``(rank, doc)``; keys that would pass ``KEY_BITS`` are
+            sorted as two doc-range halves and merged."""
+            doc_bits = max(d1 - d0 - 1, 0).bit_length()
+            pos_bits = 0
+            if positions and d1 > d0:
+                pos_bits = max(int(dls[d0:d1].max()) - 1, 0).bit_length()
+            if rank_bits + doc_bits + pos_bits > KEY_BITS and d1 - d0 > 1:
+                mid = (d0 + d1) // 2
+                return _merge_by_rank(sort_range(d0, mid), sort_range(mid, d1))
+            # content emits of the range: occurrences o0:o1, slots e0:e1
+            o0, o1 = np.searchsorted(doc_of_tok, [d0, d1])
+            e0, e1 = int(emit_cum[o0]), int(emit_cum[o1])
+            doc = doc_of_tok[o0:o1]
+            base = (doc - d0) << pos_bits
+            if positions:
+                # an emit's position is its slot minus its doc's first slot
+                base -= dl_cum[doc] - e0
+            key = (flat_rank << (doc_bits + pos_bits))[gidx[e0:e1]]
+            key += np.repeat(base, tok_cnt[o0:o1])
+            if positions:
+                key += np.arange(e1 - e0, dtype=np.int64)
+            if len(kw_doc):
+                sel = (kw_doc >= d0) & (kw_doc < d1)
+                key = np.concatenate([key, (kw_rank[sel] << (doc_bits + pos_bits))
+                                      | ((kw_doc[sel] - d0) << pos_bits)])
+            key.sort()
+            pk = key >> pos_bits if pos_bits else key
+            # a posting starts where (rank, doc) changes, and at 0 if any
+            first = np.flatnonzero(np.concatenate(([len(pk) > 0], pk[1:] != pk[:-1])))
+            tf = np.diff(np.append(first, len(pk)))
+            pk = pk[first]
+            pos = (key & ((1 << pos_bits) - 1)).astype(np.int32) if positions else None
+            return pk >> doc_bits, (pk & ((1 << doc_bits) - 1)) + d0, tf, pos
 
-        # hash-based factorize, not np.unique: callers re-sort postings
-        # anyway (spimi lexsorts by bucket/hash/doc), so first-appearance
-        # code order is fine and saves the O(P log P) sort
-        codes, uniq_tids = pd.factorize(term_ids)
-        self._refresh_vocab_arr()
-        out = (doc_idx, codes.astype(np.int64), self._vocab_arr[uniq_tids], tfs, dls)
-        if positions:
-            pos_flat = res[4] if len(res) > 4 else np.empty(0, dtype=np.int32)
-            out = out + (pos_flat,)
-        return out
+        p_rank, p_doc, tfs, pos_flat = sort_range(0, ndocs)
+        return (p_doc.astype(np.int32), p_rank, terms[order], hashes[order],
+                tfs.astype(np.int32), dls, pos_flat)
 
-    def _batch_count_ids(self, contents, positions: bool = False):
+    def _raw_tokens(self, contents):
+        """Raw-token occurrences ``(inv, uniq, doc_of_tok, ndocs)``:
+        occurrence ``i`` is raw token ``uniq[inv[i]]`` of content
+        ``doc_of_tok[i]`` (non-decreasing; every ``uniq`` entry occurs)."""
         if isinstance(contents, (pa.Array, pa.ChunkedArray)):
             if self.mode == "code":
-                return self._batch_count_ids_arrow(contents, positions=positions)
+                return self._raw_tokens_arrow(contents)
             # simple mode keeps the Python path: str.lower() (not utf8proc
             # lowercase) is what the SQL-oracle parity contract specifies
             contents = contents.to_pylist()
@@ -254,7 +377,7 @@ class CodeTokenizer:
         lengths = np.fromiter((len(r) for r in raw_lists), dtype=np.int64, count=ndocs)
         total = int(lengths.sum())
         if total == 0:
-            return self._empty_counts(ndocs)
+            return _no_tokens(ndocs)
         all_raw = np.empty(total, dtype=object)
         pos = 0
         for r in raw_lists:
@@ -266,31 +389,19 @@ class CodeTokenizer:
         # hash-based factorize beats sort-based np.unique ~10x on strings
         inv, uniq = pd.factorize(all_raw)
         doc_of_tok = np.repeat(np.arange(ndocs, dtype=np.int64), lengths)
-        return self._count_from_raw(inv, uniq, doc_of_tok, ndocs,
-                                    positions=positions)
+        return inv.astype(np.int64), uniq, doc_of_tok, ndocs
 
-    @staticmethod
-    def _empty_counts(ndocs: int):
-        return (
-            np.empty(0, dtype=np.int32),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int32),
-            np.zeros(ndocs, dtype=np.int64),
-        )
-
-    def _batch_count_ids_arrow(self, col, positions: bool = False):
-        """``code``-mode tokenization straight from Arrow buffers — the
+    def _raw_tokens_arrow(self, col):
+        """``code``-mode raw tokens straight from Arrow buffers — the
         content strings never materialize as Python objects; every
-        token-level pass (scrub, digit-boundary split, run split, empty
-        filter, factorize) is a C kernel. Only the batch's UNIQUE raw
-        tokens cross into Python, where the split/vocab caches apply.
+        token-level pass (scrub, run split, dictionary encode) is a numpy
+        or Arrow C kernel. Only the batch's UNIQUE raw tokens cross into
+        Python, where the split/vocab caches apply.
 
         Token-stream equality with ``_TOKEN_RE.findall(scrub_text(s))`` is
         property-tested: runs of ``[A-Za-z0-9_]`` split exactly at a
         leading digit-prefix (``123abc`` -> ``123|abc``, ``a123b`` stays
-        whole), which the RE2 rewrite ``\\b([0-9]+)([A-Za-z_])`` ->
-        ``\\1\\x01\\2`` reproduces (\\x01 was just scrubbed, so the
-        separator cannot collide with content).
+        whole), which :meth:`_ids_for_raw` applies per unique run.
         """
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -298,8 +409,7 @@ class CodeTokenizer:
         s = col if col.null_count == 0 else pc.fill_null(col, "")
         # scrub only when control chars actually exist: the detection is a
         # single numpy pass over the raw utf-8 buffer (vs an RE2
-        # read+write copy of the whole batch every time); the digit-prefix
-        # rewrite pass is gone entirely — folded into _ids_for_raw
+        # read+write copy of the whole batch every time)
         if _has_ctrl_chars(s):
             s = pc.replace_substring_regex(
                 s, pattern=r"[\x00-\x08\x0b\x0c\x0e-\x1f]", replacement=""
@@ -310,13 +420,11 @@ class CodeTokenizer:
                 toks = toks.combine_chunks()
             lens_all = pc.list_value_length(toks).to_numpy()
             flat = toks.flatten()
-            if len(flat) == 0:
-                return self._empty_counts(ndocs)
             doc_all = np.repeat(np.arange(ndocs, dtype=np.int64), lens_all)
             nonempty = pc.not_equal(pc.binary_length(flat), 0)
             flat = flat.filter(nonempty)
             if len(flat) == 0:
-                return self._empty_counts(ndocs)
+                return _no_tokens(ndocs)
             doc_of_tok = doc_all[nonempty.to_numpy(zero_copy_only=False)]
         else:
             # numpy run-splitter (the hot path): token runs are detected
@@ -330,14 +438,15 @@ class CodeTokenizer:
             offs = offs[s.offset: s.offset + ndocs + 1]
             lo, hi = int(offs[0]), int(offs[-1])
             if hi <= lo:
-                return self._empty_counts(ndocs)
+                return _no_tokens(ndocs)
             b = np.frombuffer(s.buffers()[2], dtype=np.uint8)[lo:hi]
             offs_rel = (offs - lo).astype(np.int64)
             is_w = _WORD_LUT[b]
             d = np.diff(is_w.view(np.int8), prepend=np.int8(0),
                         append=np.int8(0))
-            starts = np.flatnonzero(d == 1)
-            ends = np.flatnonzero(d == -1)
+            # the padded 0/1 diff alternates +1 (run start), -1 (run end)
+            edges = np.flatnonzero(d)
+            starts, ends = edges[0::2], edges[1::2]
             # a run may straddle a document boundary (doc ends with a word
             # byte, next begins with one): cut it at the boundary so
             # tokens never span documents
@@ -350,7 +459,7 @@ class CodeTokenizer:
                 starts = np.sort(np.concatenate([starts, span]))
                 ends = np.sort(np.concatenate([ends, span]))
             if len(starts) == 0:
-                return self._empty_counts(ndocs)
+                return _no_tokens(ndocs)
             lens = ends - starts
             data = b[is_w]  # concatenated token bytes, in order
             tok_offs = np.concatenate(
@@ -362,76 +471,36 @@ class CodeTokenizer:
             doc_of_tok = np.searchsorted(offs_rel, starts, side="right") - 1
         enc = pc.dictionary_encode(flat)
         inv = enc.indices.to_numpy().astype(np.int64)
-        uniq = enc.dictionary.to_pylist()
-        return self._count_from_raw(inv, uniq, doc_of_tok, ndocs,
-                                    positions=positions)
+        return inv, enc.dictionary.to_pylist(), doc_of_tok, ndocs
 
-    def _count_from_raw(self, inv, uniq, doc_of_tok, ndocs, positions=False):
-        """Common tail: expand raw-token occurrences (factorized as
-        ``uniq[inv]``, doc attribution ``doc_of_tok``) into emitted term
-        ids via the per-unique split cache, then per-(doc, term) counts.
 
-        With ``positions=True`` a 5th array is returned: the emitted-term
-        position (0-based index in the doc's emitted token stream) of every
-        occurrence, grouped by posting — posting ``i``'s ascending position
-        run occupies ``pos_flat[cum_tf[i]:cum_tf[i+1]]``."""
-        import pandas as pd
+def _no_tokens(ndocs: int):
+    """:meth:`CodeTokenizer._raw_tokens` result of a batch with no tokens."""
+    return np.empty(0, dtype=np.int64), [], np.empty(0, dtype=np.int64), ndocs
 
-        id_arrays = [self._ids_for_raw(u if isinstance(u, str) else str(u)) for u in uniq]
-        counts = np.fromiter((len(a) for a in id_arrays), dtype=np.int64, count=len(uniq))
-        flat = (
-            np.concatenate(id_arrays)
-            if len(id_arrays)
-            else np.empty(0, dtype=np.int64)
-        )
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
-        # CSR gather: expand each raw token occurrence into its emitted ids.
-        tok_cnt = counts[inv]
-        tok_start = starts[inv]
-        m = int(tok_cnt.sum())
-        if m == 0:
-            return self._empty_counts(ndocs)
-        if not tok_cnt.all():
-            # zero-emit occurrences (over-long tokens) would collide in the
-            # boundary scatter below — drop them up front (rare path)
-            nz = tok_cnt > 0
-            tok_cnt, tok_start = tok_cnt[nz], tok_start[nz]
-            doc_of_tok = doc_of_tok[nz]
-        # gather-index via one scatter + cumsum (replaces the arange + two
-        # np.repeat formulation: ~5 full passes over the emitted stream
-        # become 2 — this stage is memory-bandwidth-bound)
-        pos0 = np.cumsum(tok_cnt) - tok_cnt  # first emit slot per occurrence
-        step = np.ones(m, dtype=np.int64)
-        step[0] = tok_start[0]
-        if len(tok_cnt) > 1:
-            step[pos0[1:]] = tok_start[1:] - tok_start[:-1] - tok_cnt[:-1] + 1
-        gidx = np.cumsum(step)
-        emitted_ids = flat[gidx]
+def _term_hashes(terms) -> np.ndarray:
+    from astrologer_ray.functions.codec import term_hash64
 
-        # dls at the (smaller) occurrence level: emitted terms per doc
-        dls = np.bincount(
-            doc_of_tok, weights=tok_cnt, minlength=ndocs
-        ).astype(np.int64)
+    return np.fromiter((term_hash64(str(t)) for t in terms), dtype=np.int64,
+                       count=len(terms))
 
-        V = len(self._vocab)
-        keys = np.repeat(doc_of_tok * V, tok_cnt)  # doc base, then += term
-        keys += emitted_ids
-        # hash-based (doc, term) count: O(m) factorize + bincount instead
-        # of np.unique's O(m log m) sort over every emitted occurrence
-        inv2, ukeys = pd.factorize(keys)
-        tfs = np.bincount(inv2, minlength=len(ukeys))
-        doc_idx = (ukeys // V).astype(np.int32)
-        term_ids = ukeys % V
-        if not positions:
-            return doc_idx, term_ids, tfs.astype(np.int32), dls
-        # occurrence position within its doc's emitted stream (emission
-        # order == token order), then grouped by posting via a stable sort
-        doc_of_emit = np.repeat(doc_of_tok, tok_cnt)
-        dl_cum = np.cumsum(dls) - dls
-        occ_pos = np.arange(m, dtype=np.int64) - dl_cum[doc_of_emit]
-        pos_flat = occ_pos[np.argsort(inv2, kind="stable")].astype(np.int32)
-        return doc_idx, term_ids, tfs.astype(np.int32), dls, pos_flat
+
+def _merge_by_rank(a, b):
+    """Merge two ``batch_postings`` doc-range sorts whose docs are disjoint
+    and all of ``a``'s precede ``b``'s: a stable sort by rank keeps doc
+    order within each term, and position runs move with their postings."""
+    rank, doc, tf = (np.concatenate([x, y]) for x, y in zip(a[:3], b[:3]))
+    order = np.argsort(rank, kind="stable")
+    pos = None
+    if a[3] is not None:
+        flat = np.concatenate([a[3], b[3]])
+        first = np.cumsum(tf) - tf
+        cnt = tf[order]
+        within = np.arange(int(cnt.sum()), dtype=np.int64) - np.repeat(
+            np.cumsum(cnt) - cnt, cnt)
+        pos = flat[np.repeat(first[order], cnt) + within]
+    return rank[order], doc[order], tf[order], pos
 
 
 def flat_simple_tokens(col):

@@ -47,6 +47,7 @@ from astrologer_ray.functions.codec import (
     POSTINGS_SCHEMA_POS,
     encode_chunks_table,
 )
+from astrologer_ray.layout import load_meta  # noqa: F401  (re-exported)
 from astrologer_ray.stages.spimi import (
     completed_partitions,
     manifest_path,
@@ -1079,7 +1080,3 @@ def build_multi_index(
         )
     return metas
 
-
-def load_meta(index_dir: str) -> dict:
-    with open(os.path.join(index_dir, "stats", "meta.json")) as f:
-        return json.load(f)

@@ -79,7 +79,7 @@ def load_segment_meta(seg_dir: str) -> dict:
 def index_generations(index_dir: str) -> list[tuple[str, dict]]:
     """(dir, meta) for the base index and every completed segment, in doc_id
     order. The searcher's load list: postings/docs/dict live under each."""
-    from astrologer_ray.pipelines.build import load_meta
+    from astrologer_ray.layout import load_meta
 
     gens = [(index_dir, load_meta(index_dir))]
     for d in segment_dirs(index_dir):

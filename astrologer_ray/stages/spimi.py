@@ -7,7 +7,14 @@ The analog here: the corpus is planned into deterministic *partition units*
 (parquet row-group ranges), and an actor-pool ``map_batches`` stage tokenizes
 each unit and writes its partial artifacts:
 
-  partials/post-{part:06d}.parquet   (lrow:int64, term:str, tf:int32)
+  partials/post-{part:06d}.parquet   one row per term: (term:str,
+                                     term_hash:int64, lrows:list<int64>,
+                                     tfs:list<int32> [, poss:list<int32>]),
+                                     rows by (term_hash % n_buckets,
+                                     term_hash), one row group per bucket,
+                                     each term's lrows ascending; zstd pages,
+                                     lrows DELTA_BINARY_PACKED, term_hash
+                                     PLAIN, term/tfs/poss dictionary-encoded
   partials/docs-{part:06d}.parquet   (lrow, doc_key, repo, path, commit,
                                       lang, dl:int64, sha256:str)
   partials/manifest-{part:06d}.json  lineage + metrics row (written last,
@@ -38,12 +45,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from astrologer_ray.functions.tokenizer import CodeTokenizer
+from astrologer_ray.layout import FIELD_SEP, KEY_SEP  # noqa: F401  (re-exported)
 
-KEY_SEP = "\x1f"
-# keyword-field terms are namespaced "<field>\x1e<value>" in the shared
-# term space (reference: every string field is an exact ES keyword,
-# /root/reference/es/indices.go:91-226)
-FIELD_SEP = "\x1e"
 LROW_BITS = 40
 
 POST_SCHEMA = pa.schema(
@@ -57,6 +60,16 @@ POST_SCHEMA = pa.schema(
 # positional variant: ``poss`` concatenates each posting's ascending token
 # positions (sublist lengths == the aligned ``tfs`` entries)
 POST_SCHEMA_POS = POST_SCHEMA.append(pa.field("poss", pa.list_(pa.int32())))
+# partial postings writer: each term's ascending local rows delta-pack to
+# a byte or two per posting, the random 63-bit term_hash gains nothing from
+# a dictionary, and term, tfs and poss keep dictionary encoding (plain tfs
+# are ~1.5x larger)
+POST_WRITE_OPTIONS = dict(
+    compression="zstd",
+    use_dictionary=["term", "tfs.list.element", "poss.list.element"],
+    column_encoding={"lrows.list.element": "DELTA_BINARY_PACKED",
+                     "term_hash": "PLAIN"},
+)
 DOCS_PART_SCHEMA = pa.schema(
     [
         ("lrow", pa.int64()),
@@ -364,14 +377,31 @@ class TokenizePartials:
         if len(row_idx) == 0:
             return row_idx, vals
         # collapse duplicate (doc, value) pairs to one posting
-        import pandas as pd
-
-        codes, _ = pd.factorize(vals.to_numpy(zero_copy_only=False))
-        pair = row_idx * (int(codes.max()) + 1 if len(codes) else 1) + codes
+        codes = pc.dictionary_encode(vals).indices.to_numpy().astype(np.int64)
+        pair = row_idx * (int(codes.max()) + 1) + codes
         keep = np.sort(np.unique(pair, return_index=True)[1])
         if len(keep) != len(row_idx):
             return row_idx[keep], vals.take(pa.array(keep))
         return row_idx, vals
+
+    def _keyword_terms(self, t: pa.Table, n: int):
+        """``(doc, terms)`` of the partition's keyword-field postings, or
+        None: one exact term ``<field>\\x1e<value>`` per (doc, field,
+        DISTINCT value), which the tokenizer posts with tf=1 and no dl
+        share (BM25 text scoring is unaffected). The source spec may
+        address nested data — see _kw_values — giving ES array/object
+        keyword semantics (the reference maps list and nested object
+        fields as keyword)."""
+        docs, terms = [], []
+        for fname, src in sorted(self.keyword_fields.items()) if n else ():
+            ridx, vals = self._kw_values(t, src, n)
+            if len(ridx):
+                docs.append(ridx)
+                terms.append(pc.cast(pc.binary_join_element_wise(
+                    fname + FIELD_SEP, vals, ""), pa.string()))
+        if not docs:
+            return None
+        return np.concatenate(docs), pa.concat_arrays(terms)
 
     def _col(self, t: pa.Table, canonical: str, n: int):
         """Canonical column as an Arrow string array (``content`` is the
@@ -427,110 +457,31 @@ class TokenizePartials:
         lrow_base = np.int64(part_id) << LROW_BITS
         lrows = lrow_base + np.arange(n, dtype=np.int64)
 
-        if self.positions:
-            doc_idx, term_codes, uniq_terms, tfs, dls, pos_flat = (
-                self.tok.batch_counts_coded(content, positions=True)
-            )
-        else:
-            doc_idx, term_codes, uniq_terms, tfs, dls = (
-                self.tok.batch_counts_coded(content)
-            )
-            pos_flat = None
-
-        if self.keyword_fields and n:
-            # append exact keyword-field terms: one posting per (doc, field,
-            # DISTINCT value), tf=1, excluded from dl (BM25 text scoring is
-            # unaffected). The source spec may address nested data — see
-            # _kw_values — giving ES array/object keyword semantics
-            # (the reference maps list and nested object fields as keyword:
-            # /root/reference/es/indices.go:63-69,126-135,149-155).
-            import pandas as pd
-
-            kw_doc, kw_arrs = [], []
-            for fname, src in sorted(self.keyword_fields.items()):
-                ridx, vals = self._kw_values(t, src, n)
-                if len(ridx) == 0:
-                    continue
-                kw_arrs.append(
-                    pc.binary_join_element_wise(fname + FIELD_SEP, vals, "")
-                )
-                kw_doc.append(ridx)
-            if kw_doc:
-                kw_doc = np.concatenate(kw_doc)
-                kw_codes, kw_uniq = pd.factorize(
-                    np.concatenate(
-                        [a.to_numpy(zero_copy_only=False) for a in kw_arrs]
-                    )
-                )
-                base = len(uniq_terms)
-                doc_idx = np.concatenate([doc_idx, kw_doc])
-                term_codes = np.concatenate(
-                    [term_codes, kw_codes.astype(np.int64) + base])
-                uniq_terms = np.concatenate([uniq_terms, kw_uniq.astype(object)])
-                tfs = np.concatenate(
-                    [tfs, np.ones(len(kw_doc),
-                                  dtype=tfs.dtype if len(tfs) else np.int32)])
-                if pos_flat is not None:
-                    # keyword postings carry a placeholder position 0 (tf=1
-                    # each) so the positions-count == tf codec invariant holds
-                    pos_flat = np.concatenate(
-                        [pos_flat, np.zeros(len(kw_doc), dtype=np.int32)]
-                    )
-
         # SPIMI partial index, PACKED per term (SURVEY §2.3 ST1): one row per
-        # (term) with the partition's posting sublists, hash-bucketed for the
+        # term with the partition's posting sublists, hash-bucketed for the
         # external merge exchange: rows sorted by (bucket, term_hash) and
         # written ONE PARQUET ROW GROUP PER BUCKET so a merge task reads
         # exactly its bucket from every partition file (map-side partitioned
-        # shuffle through shared storage). bucket->row-group map goes into
-        # the manifest.
-        from astrologer_ray.functions.codec import term_hash64
-
-        bucket_rgs: dict[int, int] = {}
-        if len(doc_idx):
-            codes, uniq = term_codes, uniq_terms  # factorized once in the tokenizer
-            uhash = np.fromiter(
-                (term_hash64(str(t)) for t in uniq), dtype=np.int64, count=len(uniq)
-            )
-            ubucket = (uhash % self.n_buckets).astype(np.int64)
-            # order postings by (bucket, hash, local row): runs per term
-            order = np.lexsort((doc_idx, uhash[codes], ubucket[codes]))
-            oc = codes[order]
-            rs = np.concatenate(([0], np.flatnonzero(oc[1:] != oc[:-1]) + 1))
-            offsets = np.concatenate((rs, [len(oc)])).astype(np.int32)
-            run_codes = oc[rs]
-            cols = {
-                "term": pa.array(uniq[run_codes], pa.string()),
-                "term_hash": pa.array(uhash[run_codes]),
-                "lrows": pa.ListArray.from_arrays(
-                    offsets, pa.array(lrows[doc_idx[order]])
-                ),
-                "tfs": pa.ListArray.from_arrays(
-                    offsets, pa.array(tfs[order], pa.int32())
-                ),
-            }
-            if pos_flat is not None:
-                # permute the variable-length per-posting position segments
-                # into the sorted posting order (CSR gather), then re-list
-                # them at the packed term-row boundaries
-                seg_start = np.cumsum(tfs, dtype=np.int64) - tfs
-                cnt = tfs[order].astype(np.int64)
-                ccum = np.cumsum(cnt)
-                within = np.arange(int(ccum[-1]) if len(ccum) else 0,
-                                   dtype=np.int64) - np.repeat(ccum - cnt, cnt)
-                pos_sorted = pos_flat[np.repeat(seg_start[order], cnt) + within]
-                occ_cum = np.concatenate(([0], ccum))
-                cols["poss"] = pa.ListArray.from_arrays(
-                    occ_cum[offsets].astype(np.int32),
-                    pa.array(pos_sorted, pa.int32()),
-                )
-            schema = POST_SCHEMA_POS if pos_flat is not None else POST_SCHEMA
-            post = pa.table(cols, schema=schema)
-            run_buckets = ubucket[run_codes]
-        else:
-            schema = POST_SCHEMA_POS if self.positions else POST_SCHEMA
-            post = schema.empty_table()
-            run_buckets = np.empty(0, dtype=np.int64)
+        # shuffle through shared storage). The tokenizer's one key sort
+        # already yields that order: terms by (bucket, hash), each term's
+        # postings by local row. bucket->row-group map goes into the manifest.
+        doc_idx, rank, terms, hashes, tfs, dls, pos_flat = self.tok.batch_postings(
+            content, n_buckets=self.n_buckets, positions=self.positions,
+            keywords=self._keyword_terms(t, n))
+        offsets = np.zeros(len(terms) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rank, minlength=len(terms)), out=offsets[1:])
+        cols = {
+            "term": pa.array(terms, pa.string()),
+            "term_hash": pa.array(hashes, pa.int64()),
+            "lrows": pa.ListArray.from_arrays(offsets, pa.array(lrows[doc_idx])),
+            "tfs": pa.ListArray.from_arrays(offsets, pa.array(tfs, pa.int32())),
+        }
+        if self.positions:
+            occ = np.concatenate(([0], np.cumsum(tfs, dtype=np.int64)))
+            cols["poss"] = pa.ListArray.from_arrays(
+                occ[offsets].astype(np.int32), pa.array(pos_flat, pa.int32()))
+        post = pa.table(cols, schema=POST_SCHEMA_POS if self.positions else POST_SCHEMA)
+        run_buckets = hashes % self.n_buckets
         docs = pa.table(
             {
                 "lrow": lrows,
@@ -547,7 +498,8 @@ class TokenizePartials:
 
         post_path = os.path.join(self.partials_dir, f"post-{part_id:06d}.parquet")
         docs_path = os.path.join(self.partials_dir, f"docs-{part_id:06d}.parquet")
-        with pq.ParquetWriter(post_path, post.schema, compression="zstd") as w:
+        bucket_rgs: dict[int, int] = {}
+        with pq.ParquetWriter(post_path, post.schema, **POST_WRITE_OPTIONS) as w:
             if post.num_rows:
                 b_rs = np.concatenate(
                     ([0], np.flatnonzero(run_buckets[1:] != run_buckets[:-1]) + 1,
@@ -565,7 +517,7 @@ class TokenizePartials:
             "rg_end": int(unit["rg_end"]),
             "n_docs": n,
             "n_postings": int(len(doc_idx)),
-            "n_unique_terms": int(len(uniq_terms)),
+            "n_unique_terms": int(len(terms)),
             "sum_dl": int(dls.sum()) if n else 0,
             "max_doc_postings": int(np.bincount(doc_idx).max()) if len(doc_idx) else 0,
             "post_bytes": os.path.getsize(post_path),

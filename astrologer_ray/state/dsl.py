@@ -1977,7 +1977,7 @@ def execute_terms_enum(s, body: dict) -> dict:
     part returned). ``complete`` is true when the listing reached the
     end of the matching range (ES semantics: the enumeration saw every
     candidate)."""
-    from astrologer_ray.stages.spimi import FIELD_SEP
+    from astrologer_ray.layout import FIELD_SEP
 
     field = body["field"]
     prefix = str(body.get("string", ""))
@@ -2020,7 +2020,7 @@ def _tv_field_statistics(s) -> dict:
     cached = getattr(s, "_tv_field_stats", None)
     if cached is not None:
         return cached
-    from astrologer_ray.stages.spimi import FIELD_SEP
+    from astrologer_ray.layout import FIELD_SEP
 
     sum_df = sum(v for t, v in s.df.items() if FIELD_SEP not in t)
     sum_ttf = sum(v for t, v in s.cf.items() if FIELD_SEP not in t)
@@ -2074,7 +2074,7 @@ def execute_termvectors(s, body: dict, doc_id: int | None = None,
             filter=(pc.field("repo") == repo) & (pc.field("path") == path),
             columns=["commit", "content"],
         )
-        from astrologer_ray.stages.spimi import KEY_SEP
+        from astrologer_ray.layout import KEY_SEP
 
         # (repo, path) can repeat across commits; the doc_key's LAST
         # key segment is the formatted commit — exact segment equality,

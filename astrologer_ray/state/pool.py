@@ -431,7 +431,7 @@ class ShardedSearchPool(_Pool):
 
     def __init__(self, index_dir: str, n_actors: int = 4, *,
                  load_docs: bool = False, num_cpus: float = 1.0):
-        from astrologer_ray.pipelines.build import load_meta
+        from astrologer_ray.layout import load_meta
         from astrologer_ray.pipelines.segments import combined_stats
 
         meta = load_meta(index_dir)

@@ -60,8 +60,7 @@ import pyarrow.parquet as pq
 
 from astrologer_ray.functions.codec import POSTINGS_SCHEMA, POSTINGS_SCHEMA_POS
 from astrologer_ray.functions.tokenizer import tokenize
-from astrologer_ray.pipelines.build import load_meta
-from astrologer_ray.stages.spimi import FIELD_SEP
+from astrologer_ray.layout import FIELD_SEP, load_meta
 from astrologer_ray.state.bm25 import bm25_term_weight, idf
 
 _UB_SAFETY = 1.0 + 1e-12

@@ -1,6 +1,6 @@
-"""A serving replica starts with only what serving uses: no pandas on the
-``Searcher`` open and request paths, and one ``ray.remote(Searcher)``
-class per driver for every pool."""
+"""A serving replica starts with only what serving uses: no pandas and no
+index builder on the ``Searcher`` open and request paths, and one
+``ray.remote(Searcher)`` class per driver for every pool."""
 
 import json
 import os
@@ -17,6 +17,8 @@ from astrologer_ray.pipelines.segments import append_segment, index_generations
 from astrologer_ray.state.searcher import Searcher, _numpy
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the index builder: serving reads the index layout from astrologer_ray.layout
+BUILDER = ("astrologer_ray.pipelines.build", "astrologer_ray.stages.spimi")
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +71,8 @@ def test_searcher_open_and_requests_import_no_pandas(index, two_gen_index,
                                                      generations):
     """A fresh interpreter opens the index with and without doc
     attributes and serves a search and a filtered, aggregated DSL body
-    without importing pandas; its answers equal this process's."""
+    without importing pandas or the index builder; its answers equal this
+    process's."""
     idx = index if generations == 1 else two_gen_index
     s = Searcher(idx, load_docs=True)
     assert len(index_generations(idx)) == generations
@@ -79,7 +82,8 @@ def test_searcher_open_and_requests_import_no_pandas(index, two_gen_index,
         "import json, sys\n"
         "import astrologer_ray.state.pool\n"
         "from astrologer_ray.state.searcher import Searcher\n"
-        "idx, body, term = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3]\n"
+        "idx, body, term, builder = sys.argv[1], json.loads(sys.argv[2]), "
+        "sys.argv[3], sys.argv[4].split(',')\n"
         "seen = ['pandas' in sys.modules]\n"
         "hits = Searcher(idx, load_docs=False).search([term], k=5)\n"
         "seen.append('pandas' in sys.modules)\n"
@@ -87,10 +91,13 @@ def test_searcher_open_and_requests_import_no_pandas(index, two_gen_index,
         "seen.append('pandas' in sys.modules)\n"
         "resp = s.run_dsl(body)\n"
         "seen.append('pandas' in sys.modules)\n"
-        "print(json.dumps({'seen': seen, 'hits': hits, 'resp': resp}))\n"
+        "built = [m for m in builder if m in sys.modules]\n"
+        "print(json.dumps({'seen': seen, 'hits': hits, 'resp': resp, "
+        "'built': built}))\n"
     )
-    out = _run(code, idx, json.dumps(body), term)
+    out = _run(code, idx, json.dumps(body), term, ",".join(BUILDER))
     assert out["seen"] == [False] * 4
+    assert out["built"] == []
     assert out["hits"] == s.search([term], k=5)
     resp = s.run_dsl(body)
     assert resp["hits"]["total"]["value"] > 0
