@@ -33,9 +33,12 @@ CSR expansion of each raw token into its emitted terms with a cross-batch
 token-split cache, and then ONE ``np.sort`` of packed int64 keys ``(term
 rank, doc[, position])`` that both counts the postings (runs of equal keys
 give tf) and leaves them in the SPIMI partial's row order (terms by
-``(term_hash64 % n_buckets, term_hash64)``, docs ascending). It is a
-callable-class state, so in Ray it runs as an actor-pool stage with the
-cache amortised across batches. Only the list-input path imports pandas
+``(term_hash64 % n_buckets, term_hash64)``, docs ascending). Index
+builds tokenize through one process-wide tokenizer per mode
+(:func:`shared_tokenizer`), so the split cache carries over from one
+partition a Ray worker tokenizes to the next, and from one in-process
+append to the next, up to ``SPLIT_CACHE_TOKENS`` raw tokens. Only the
+list-input path imports pandas
 (``pd.factorize`` of the raw tokens), so importing this module for query
 analysis does not.
 """
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import threading
 from collections import Counter
 
 import numpy as np
@@ -54,6 +58,11 @@ MAX_TERM_LEN = 64
 # width limit of the packed (term rank, doc[, position]) posting sort keys:
 # int64 stays non-negative; a batch whose keys need more is split by doc range
 KEY_BITS = 63
+# raw tokens a CodeTokenizer's split cache may hold: past it, the cache
+# starts fresh before the next batch. About 630 B stay resident per cached
+# raw token (its term-id array, the vocabulary entries and term hashes it
+# adds), so one process's cache stays near 83 MB plus one batch's growth
+SPLIT_CACHE_TOKENS = 1 << 17
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
 _PART_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]+|[a-z]+|[0-9]+")
@@ -70,16 +79,15 @@ def scrub_text(s: str) -> str:
     return _SCRUB_RE.sub("", s)
 
 
-# byte -> is-token-char ([A-Za-z0-9_]) lookup table; bytes >= 0x80 are
-# False, so multi-byte UTF-8 codepoints act as separators (matching the
-# regex token class, which is ASCII-only)
-_WORD_LUT = np.zeros(256, dtype=bool)
-for _c in range(256):
-    _ch = chr(_c)
-    _WORD_LUT[_c] = (
-        "a" <= _ch <= "z" or "A" <= _ch <= "Z" or "0" <= _ch <= "9" or _ch == "_"
-    )
-del _c, _ch
+# token bytes ([A-Za-z0-9_]) as ``bytes.translate`` tables: _WORD_TABLE maps
+# each byte to its is-token-char flag (0/1, a valid numpy bool), _NON_WORD
+# lists the bytes a delete-translate drops. Bytes >= 0x80 are separators,
+# so multi-byte UTF-8 codepoints split tokens (the regex token class is
+# ASCII-only)
+_WORD_BYTES = frozenset(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                        b"0123456789_")
+_WORD_TABLE = bytes(c in _WORD_BYTES for c in range(256))
+_NON_WORD = bytes(c for c in range(256) if c not in _WORD_BYTES)
 
 
 def _has_ctrl_chars(arr: pa.Array) -> bool:
@@ -177,13 +185,17 @@ class CodeTokenizer:
     ``batch_counts_coded`` are views of the same result.
 
     Per-doc results are exactly ``token_counts(content, mode)`` (property
-    tested). State (vocab, term hashes, split cache) amortises across
-    batches, which is why index-build stages run this as an actor pool
-    (SURVEY §2.3 ST4).
+    tested), and do not depend on what the instance tokenized before: its
+    state (vocab, term hashes, split cache) only saves re-splitting and
+    re-hashing raw tokens it has already seen.
     """
 
     def __init__(self, mode: str = "code"):
         self.mode = mode
+        self._lock = threading.Lock()
+        self._reset()
+
+    def _reset(self) -> None:
         self._vocab: dict[str, int] = {}
         self._vocab_arr: np.ndarray = np.empty(0, dtype=object)
         self._hash_arr: np.ndarray = np.empty(0, dtype=np.int64)
@@ -218,18 +230,30 @@ class CodeTokenizer:
             self._tok2ids[raw] = ids
         return ids
 
-    def _refresh_vocab_arr(self) -> None:
-        n0 = len(self._vocab_arr)
-        if n0 != len(self._vocab):
-            # term ids follow dict insertion order: the new terms are the
-            # keys past the first n0
-            new = list(itertools.islice(self._vocab, n0, None))
-            arr = np.empty(len(self._vocab), dtype=object)
-            arr[:n0] = self._vocab_arr
-            arr[n0:] = new
-            self._vocab_arr = arr
-            self._hash_arr = np.concatenate(
-                [self._hash_arr, _term_hashes(new)])
+    def _split(self, uniq) -> tuple[list, np.ndarray, np.ndarray]:
+        """``(id_arrays, vocab, hashes)``: the term ids each raw token in
+        ``uniq`` emits, and the term and ``term_hash64`` arrays those ids
+        index. The cache is checked against ``SPLIT_CACHE_TOKENS`` first.
+        One lock covers it, so threads sharing this tokenizer split in
+        turn; the arrays returned stay valid after the lock is released,
+        since a later batch replaces them and never writes into them."""
+        with self._lock:
+            if len(self._tok2ids) > SPLIT_CACHE_TOKENS:
+                self._reset()
+            id_arrays = [self._ids_for_raw(u if isinstance(u, str) else str(u))
+                         for u in uniq]
+            n0 = len(self._vocab_arr)
+            if n0 != len(self._vocab):
+                # term ids follow dict insertion order: the new terms are
+                # the keys past the first n0
+                new = list(itertools.islice(self._vocab, n0, None))
+                arr = np.empty(len(self._vocab), dtype=object)
+                arr[:n0] = self._vocab_arr
+                arr[n0:] = new
+                self._vocab_arr = arr
+                self._hash_arr = np.concatenate(
+                    [self._hash_arr, _term_hashes(new)])
+            return id_arrays, self._vocab_arr, self._hash_arr
 
     def batch_counts(self, contents) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(doc_idx, terms, tfs, dls)``: posting ``i`` is ``terms[i]``
@@ -264,8 +288,7 @@ class CodeTokenizer:
         the postings and their lengths the tfs, and the low bits come out
         as each posting's ascending positions."""
         inv, uniq, doc_of_tok, ndocs = self._raw_tokens(contents)
-        id_arrays = [self._ids_for_raw(u if isinstance(u, str) else str(u))
-                     for u in uniq]
+        id_arrays, vocab_arr, hash_arr = self._split(uniq)
         counts = np.fromiter((len(a) for a in id_arrays), dtype=np.int64,
                              count=len(uniq))
         flat = (np.concatenate(id_arrays) if len(id_arrays)
@@ -297,9 +320,8 @@ class CodeTokenizer:
         # ordered by (bucket, hash) — the per-term work is over the few
         # distinct terms, never over the postings
         present, flat_local = np.unique(flat, return_inverse=True)
-        self._refresh_vocab_arr()
-        terms = self._vocab_arr[present]
-        hashes = self._hash_arr[present]
+        terms = vocab_arr[present]
+        hashes = hash_arr[present]
         kw_doc = kw_code = np.empty(0, dtype=np.int64)
         if keywords is not None and len(keywords[0]):
             kw_doc = np.asarray(keywords[0], dtype=np.int64)
@@ -427,51 +449,75 @@ class CodeTokenizer:
                 return _no_tokens(ndocs)
             doc_of_tok = doc_all[nonempty.to_numpy(zero_copy_only=False)]
         else:
-            # numpy run-splitter (the hot path): token runs are detected
-            # with a byte-class LUT + one diff, word bytes compact into a
-            # contiguous values buffer (boolean gather), and the token
-            # array is built zero-copy via from_buffers. ~3 linear passes
-            # over the batch, no RE2, no list array, no empty-token
-            # filter (runs are non-empty by construction) — the regex
-            # split alone cost ~2x this whole block.
+            # numpy run-splitter (the hot path): bytes are classified by
+            # one ``bytes.translate``, token runs are the edges of a bool
+            # change mask, a delete-translate compacts the word bytes into
+            # a contiguous values buffer, and the token array is built
+            # zero-copy via from_buffers. A few linear passes over the
+            # batch, no RE2, no list array, no empty-token filter (runs
+            # are non-empty by construction) — the regex split alone cost
+            # ~2x this whole block.
             offs = np.frombuffer(s.buffers()[1], dtype=np.int32)
             offs = offs[s.offset: s.offset + ndocs + 1]
             lo, hi = int(offs[0]), int(offs[-1])
             if hi <= lo:
                 return _no_tokens(ndocs)
-            b = np.frombuffer(s.buffers()[2], dtype=np.uint8)[lo:hi]
+            raw = s.buffers()[2].slice(lo, hi - lo).to_pybytes()
             offs_rel = (offs - lo).astype(np.int64)
-            is_w = _WORD_LUT[b]
-            d = np.diff(is_w.view(np.int8), prepend=np.int8(0),
-                        append=np.int8(0))
-            # the padded 0/1 diff alternates +1 (run start), -1 (run end)
-            edges = np.flatnonzero(d)
+            is_w = np.frombuffer(raw.translate(_WORD_TABLE), dtype=np.bool_)
+            # a run starts or ends wherever the class changes, with the
+            # text padded by a non-word byte on each side: the edges
+            # alternate run start, run end
+            change = np.empty(len(is_w) + 1, dtype=np.bool_)
+            change[0], change[-1] = is_w[0], is_w[-1]
+            np.not_equal(is_w[1:], is_w[:-1], out=change[1:-1])
+            edges = np.flatnonzero(change)
             starts, ends = edges[0::2], edges[1::2]
             # a run may straddle a document boundary (doc ends with a word
             # byte, next begins with one): cut it at the boundary so
             # tokens never span documents
             bpos = offs_rel[1:-1]
-            inner = bpos[(bpos > 0) & (bpos < len(b))]
+            inner = bpos[(bpos > 0) & (bpos < len(is_w))]
             # unique: an empty doc repeats its neighbours' boundary
             # position — cutting twice would mint a zero-length token
             span = np.unique(inner[is_w[inner] & is_w[inner - 1]])
             if len(span):
-                starts = np.sort(np.concatenate([starts, span]))
-                ends = np.sort(np.concatenate([ends, span]))
+                # both sides are sorted: insert, no re-sort
+                starts = np.insert(starts, np.searchsorted(starts, span), span)
+                ends = np.insert(ends, np.searchsorted(ends, span), span)
             if len(starts) == 0:
                 return _no_tokens(ndocs)
             lens = ends - starts
-            data = b[is_w]  # concatenated token bytes, in order
+            data = raw.translate(None, _NON_WORD)  # token bytes, in order
             tok_offs = np.concatenate(
                 ([0], np.cumsum(lens))
             ).astype(np.int32)
             flat = pa.StringArray.from_buffers(
                 len(lens), pa.py_buffer(tok_offs), pa.py_buffer(data)
             )
-            doc_of_tok = np.searchsorted(offs_rel, starts, side="right") - 1
+            # no run crosses a doc boundary: a doc's tokens are the runs
+            # starting in [offs[d], offs[d + 1])
+            per_doc = np.diff(np.searchsorted(starts, offs_rel))
+            doc_of_tok = np.repeat(np.arange(ndocs, dtype=np.int64), per_doc)
         enc = pc.dictionary_encode(flat)
         inv = enc.indices.to_numpy().astype(np.int64)
         return inv, enc.dictionary.to_pylist(), doc_of_tok, ndocs
+
+
+_SHARED: dict[str, CodeTokenizer] = {}
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_tokenizer(mode: str = "code") -> CodeTokenizer:
+    """The process-wide :class:`CodeTokenizer` of ``mode``, made on first
+    use: every index-build stage in the process tokenizes through it, so a
+    raw token recurring across partitions and appends is split and hashed
+    once per process."""
+    with _SHARED_LOCK:
+        tok = _SHARED.get(mode)
+        if tok is None:
+            tok = _SHARED[mode] = CodeTokenizer(mode)
+        return tok
 
 
 def _no_tokens(ndocs: int):

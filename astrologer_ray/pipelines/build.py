@@ -35,6 +35,7 @@ import glob
 import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -49,6 +50,7 @@ from astrologer_ray.functions.codec import (
 )
 from astrologer_ray.layout import load_meta  # noqa: F401  (re-exported)
 from astrologer_ray.stages.spimi import (
+    LROW_BITS,
     completed_partitions,
     manifest_path,
     plan_partitions,
@@ -416,9 +418,17 @@ def merge_bucket_table(
         t.column("poss").combine_chunks().flatten().to_numpy()
         if "poss" in t.column_names else None
     )
-    idx = np.searchsorted(km_lrow, lrow_vals)
-    assert bool(np.all(km_lrow[idx] == lrow_vals)), "keymap miss"
-    doc_vals = km_doc[idx]
+    # the keymap holds each partition's local rows 0..n-1 in lrow order, so
+    # a posting's keymap row is its partition's first row plus its local
+    # row; a partition past the keymap's last one maps past its end
+    n_pid = int(km_lrow[-1] >> LROW_BITS) + 1 if len(km_lrow) else 0
+    first = np.searchsorted(
+        km_lrow, np.arange(n_pid + 1, dtype=np.int64) << LROW_BITS)
+    idx = first[np.minimum(lrow_vals >> LROW_BITS, n_pid)]
+    idx += lrow_vals & ((1 << LROW_BITS) - 1)
+    assert len(km_lrow) and bool(np.all(
+        np.take(km_lrow, idx, mode="clip") == lrow_vals)), "keymap miss"
+    doc_vals = np.take(km_doc, idx, mode="clip")
 
     terms_at = t.column("term").combine_chunks()
     new_run = np.empty(n_rows, dtype=bool)
@@ -507,68 +517,72 @@ def _read_keymap(files: list[str]):
     return np.asarray(t.column("lrow")), np.asarray(t.column("doc_id"))
 
 
-def merge_buckets(
-    batch: pa.Table,
-    km,
-    *,
-    postings_dir: str,
-    keymap_dir: str,
-    n_shards: int,
-    chunk_bits: int,
-) -> None:
-    """Stage-3 body: merge, encode and write every bucket named in ``batch``
-    (one row per bucket: ``bucket``, ``files``, ``rgs``).
+def _merge_bucket(desc: dict, km, *, keymap_dir: str, n_shards: int,
+                  chunk_bits: int) -> pa.Table:
+    """One bucket's encoded chunk rows, unsorted: read the bucket's row
+    group from every partition file named in ``desc`` (``bucket``,
+    ``files``, ``rgs``) and merge them.
 
-    ``km`` is the keymap as ``(lrow, doc_id)`` arrays, or None to read,
-    per bucket, only the keymap files of the partitions in that bucket (the
+    ``km`` is the keymap as ``(lrow, doc_id)`` arrays, or None to read
+    only the keymap files of the partitions in this bucket (the
     shared-storage fallback for extreme doc counts).
     """
-    import time as _t
+    bucket = int(desc["bucket"])
+    km_lrow, km_doc = km if km is not None else _read_keymap([
+        os.path.join(keymap_dir,
+                     os.path.basename(f).replace("post-", "keymap-", 1))
+        for f in desc["files"]
+    ])
+    t = pa.concat_tables(
+        pq.ParquetFile(f).read_row_group(rg)
+        for f, rg in zip(desc["files"], desc["rgs"])
+    )
+    # shard = bucket mod n_shards = term_hash64 % n_shards, because
+    # n_shards divides n_buckets (no serving path reads the column)
+    return merge_bucket_table(
+        t, km_lrow, km_doc, shard=bucket % n_shards, chunk_bits=chunk_bits,
+    )
 
+
+def _write_postings(out: pa.Table, postings_dir: str, name: str,
+                    task0: float, **lineage) -> pa.Table:
+    """Write chunk rows ``(term, last_doc_id)``-sorted as
+    ``post-{name}.parquet`` with its ``merge-manifest-{name}.json``
+    lineage sidecar (task seconds since ``task0``, not globbed by
+    Searcher); returns the sorted rows.
+
+    Terms are hash-partitioned, so each lives in ONE bucket, and the
+    concatenation of term-sorted bucket files keeps every term's chunk
+    run contiguous and doc-ordered: Searcher's load-time global sort
+    (paid by every serving actor at cold start) is skipped for a
+    single-generation index (meta flag ``postings_term_sorted``).
+    """
+    out = out.sort_by([("term", "ascending"), ("last_doc_id", "ascending")])
+    out_path = os.path.join(postings_dir, f"post-{name}.parquet")
+    pq.write_table(out, out_path, compression="zstd")
+    with open(os.path.join(postings_dir, f"merge-manifest-{name}.json"),
+              "w") as mf:
+        json.dump({
+            **lineage,
+            "n_chunk_rows": out.num_rows,
+            "out_bytes": os.path.getsize(out_path),
+            "task_sec": round(time.monotonic() - task0, 4),
+            "t_end_unix": round(time.time(), 3),
+        }, mf)
+    return out
+
+
+def merge_buckets(batch: pa.Table, km, *, postings_dir: str, **merge_kw) -> None:
+    """Stage-3 task body: merge, encode and write every bucket named in
+    ``batch`` (one row per bucket, see :func:`_merge_bucket`) as its own
+    ``post-bucket-NNNNN.parquet``."""
     for desc in batch.to_pylist():
-        _task0 = _t.monotonic()
-        bucket = int(desc["bucket"])
-        km_lrow, km_doc = km if km is not None else _read_keymap([
-            os.path.join(keymap_dir,
-                         os.path.basename(f).replace("post-", "keymap-", 1))
-            for f in desc["files"]
-        ])
-        t = pa.concat_tables(
-            pq.ParquetFile(f).read_row_group(rg)
-            for f, rg in zip(desc["files"], desc["rgs"])
-        )
-        # shard = bucket mod n_shards = term_hash64 % n_shards, because
-        # n_shards divides n_buckets (no serving path reads the column)
-        out = merge_bucket_table(
-            t, km_lrow, km_doc, shard=bucket % n_shards, chunk_bits=chunk_bits,
-        )
-        if out.num_rows == 0:
-            continue
-        # write the bucket (term, last_doc_id)-sorted: terms are
-        # hash-partitioned so each lives in exactly ONE bucket, which
-        # makes per-term chunk runs contiguous in the concatenation of
-        # sorted buckets — Searcher's load-time global sort (paid by
-        # EVERY serving actor at cold start) becomes skippable for a
-        # single-generation index (meta flag postings_term_sorted)
-        out = out.sort_by([("term", "ascending"), ("last_doc_id", "ascending")])
-        out_path = os.path.join(postings_dir, f"post-bucket-{bucket:05d}.parquet")
-        pq.write_table(out, out_path, compression="zstd")
-        # per-bucket lineage timing (same diagnosis role as the stage-1
-        # manifests' task_sec); sidecar json, not globbed by Searcher
-        with open(
-            os.path.join(postings_dir, f"merge-manifest-{bucket:05d}.json"),
-            "w",
-        ) as mf:
-            json.dump(
-                {
-                    "bucket": bucket,
-                    "n_chunk_rows": out.num_rows,
-                    "out_bytes": os.path.getsize(out_path),
-                    "task_sec": round(_t.monotonic() - _task0, 4),
-                    "t_end_unix": round(_t.time(), 3),
-                },
-                mf,
-            )
+        task0 = time.monotonic()
+        out = _merge_bucket(desc, km, **merge_kw)
+        if out.num_rows:
+            bucket = int(desc["bucket"])
+            _write_postings(out, postings_dir, f"bucket-{bucket:05d}", task0,
+                            bucket=bucket)
 
 
 def _encode_postings(
@@ -584,14 +598,19 @@ def _encode_postings(
     pids: set[int] | None = None,
     merge_num_cpus: float | None = None,
     in_process: bool = False,
-) -> None:
+) -> pa.Table | None:
     """Stage 3: bucket-partitioned EXTERNAL merge of the SPIMI partials.
 
     ``pids`` restricts the merge to a subset of source partitions (segment
     append encodes ONLY the new partitions' postings, pipelines/segments.py).
-    ``in_process=True`` merges the buckets one after another in the calling
-    process with no Ray call (a one-partition append: there is nothing to
-    spread over tasks); otherwise one Ray Data task per bucket.
+    By default one Ray Data task per bucket writes that bucket's
+    ``post-bucket-NNNNN.parquet``, and None is returned. ``in_process=True``
+    (a one-partition append: there is nothing to spread over tasks) merges
+    the buckets one after another in the calling process with no Ray call,
+    so memory stays bounded by one bucket's partial postings plus the
+    encoded chunks; it sorts the chunks of all buckets once, writes ONE
+    ``post-all.parquet`` and returns that table, which the dictionary stage
+    then need not read back.
 
     The wide term exchange is materialized through shared storage instead of
     an in-memory all-to-all: stage 1 already wrote each partition's packed
@@ -610,8 +629,8 @@ def _encode_postings(
     independently-encoded chunks that concatenate in doc_id order), and
     Zipf head terms hash into different buckets.
 
-    The dictionary stage reads the chunk summaries back from the written
-    postings' ``n`` / ``sum_tf`` columns.
+    The dictionary stage takes the chunk summaries from the postings'
+    ``n`` / ``sum_tf`` columns.
     """
     keymap_dir = os.path.join(os.path.dirname(postings_dir), "keymap")
     _write_keymap(docs_dir, keymap_dir, parallelism,
@@ -634,8 +653,8 @@ def _encode_postings(
         {"bucket": b_, "files": [f for f, _ in lst], "rgs": [r for _, r in lst]}
         for b_, lst in sorted(buckets.items())
     ]
-    merge_kw = dict(postings_dir=postings_dir, keymap_dir=keymap_dir,
-                    n_shards=n_shards, chunk_bits=chunk_bits)
+    merge_kw = dict(keymap_dir=keymap_dir, n_shards=n_shards,
+                    chunk_bits=chunk_bits)
 
     # keymap: per-pid files with disjoint ascending lrow ranges -> concat in
     # filename order is globally lrow-sorted. Placements:
@@ -647,9 +666,14 @@ def _encode_postings(
     #    of the partitions present in its bucket straight from storage.
     km_files = glob.glob(os.path.join(keymap_dir, "keymap-*.parquet"))
     if in_process:
-        merge_buckets(pa.Table.from_pylist(units), _read_keymap(km_files),
-                      **merge_kw)
-        return
+        task0 = time.monotonic()
+        km = _read_keymap(km_files)
+        outs = [_merge_bucket(u, km, **merge_kw) for u in units]
+        out = pa.concat_tables(outs) if outs else None
+        if out is None or not out.num_rows:
+            return out
+        return _write_postings(out, postings_dir, "all", task0,
+                               buckets=[u["bucket"] for u in units])
 
     import ray
     import ray.data as rd
@@ -686,7 +710,7 @@ def _encode_postings(
 
     def merge_task(batch: pa.Table) -> pa.Table:
         km = ray.get(km_ref) if km_ref is not None else None
-        merge_buckets(batch, km, **merge_kw)
+        merge_buckets(batch, km, postings_dir=postings_dir, **merge_kw)
         return batch.select(["bucket"])  # Ray Data needs a batch back
 
     (rd.from_items(units, override_num_blocks=max(1, len(units)))
@@ -735,45 +759,48 @@ def _tokenize_stage(todo: list[dict], partials_dir: str, *, mode: str,
 
 
 def _write_dictionary(postings_dir: str, dict_dir: str,
-                      driver_small_threshold: int = 2_000_000) -> int:
+                      driver_small_threshold: int = 2_000_000,
+                      postings: pa.Table | None = None) -> int:
     """Stage 4: term dictionary (df = sum of chunk posting counts) from the
     encoded postings' summary columns; returns the term count. Shared by the
-    full build and the segment append (pipelines/segments.py)."""
-    post_files = glob.glob(os.path.join(postings_dir, "*.parquet"))
-    n_chunk_rows = sum(pq.read_metadata(p).num_rows for p in post_files)
-    if n_chunk_rows <= driver_small_threshold:
-        # chunk summaries are tiny relative to postings: one-process groupby
-        cs = pa.concat_tables(
+    full build and the segment append (pipelines/segments.py). ``postings``
+    is the chunk table an in-process merge returned; without it the
+    summaries are read from ``postings_dir``."""
+    if postings is None:
+        post_files = glob.glob(os.path.join(postings_dir, "*.parquet"))
+        n_chunk_rows = sum(pq.read_metadata(p).num_rows for p in post_files)
+        if n_chunk_rows > driver_small_threshold:
+            import ray.data as rd
+            from ray.data.aggregate import Count, Sum
+
+            # explicit file list: the dir also holds merge-manifest sidecars
+            chunks_summary = rd.read_parquet(
+                sorted(post_files), columns=["term", "n", "sum_tf"])
+            dictionary = chunks_summary.groupby("term").aggregate(
+                Sum("n", alias_name="df"),
+                Sum("sum_tf", alias_name="cf"),
+                Count(alias_name="n_chunks"),
+            )
+            dictionary.write_parquet(dict_dir)
+            return sum(
+                pq.read_metadata(p).num_rows
+                for p in glob.glob(os.path.join(dict_dir, "*.parquet"))
+            )
+        postings = pa.concat_tables(
             pq.read_table(p, columns=["term", "n", "sum_tf"]) for p in post_files
         )
-        dictionary_t = (
-            cs.group_by("term")
-            .aggregate([("n", "sum"), ("sum_tf", "sum"), ("term", "count")])
-            .rename_columns(["term", "df", "cf", "n_chunks"])
-        )
-        os.makedirs(dict_dir, exist_ok=True)
-        pq.write_table(
-            dictionary_t, os.path.join(dict_dir, "dict-000000.parquet"),
-            compression="zstd",
-        )
-        return dictionary_t.num_rows
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    # explicit file list: the dir also holds merge-manifest json sidecars
-    chunks_summary = rd.read_parquet(
-        sorted(post_files), columns=["term", "n", "sum_tf"]
+    # chunk summaries are tiny relative to postings: one-process groupby
+    dictionary_t = (
+        postings.select(["term", "n", "sum_tf"]).group_by("term")
+        .aggregate([("n", "sum"), ("sum_tf", "sum"), ("term", "count")])
+        .rename_columns(["term", "df", "cf", "n_chunks"])
     )
-    dictionary = chunks_summary.groupby("term").aggregate(
-        Sum("n", alias_name="df"),
-        Sum("sum_tf", alias_name="cf"),
-        Count(alias_name="n_chunks"),
+    os.makedirs(dict_dir, exist_ok=True)
+    pq.write_table(
+        dictionary_t, os.path.join(dict_dir, "dict-000000.parquet"),
+        compression="zstd",
     )
-    dictionary.write_parquet(dict_dir)
-    return sum(
-        pq.read_metadata(p).num_rows
-        for p in glob.glob(os.path.join(dict_dir, "*.parquet"))
-    )
+    return dictionary_t.num_rows
 
 
 def build_index(

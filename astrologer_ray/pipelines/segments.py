@@ -17,8 +17,13 @@ Size rule: when the partitions an append adopts hold at most
 near-real-time tail batch — every stage (tokenize, doc ids, merge+encode,
 dictionary) runs as plain calls in the caller's process, with no Ray call at
 all; larger appends run tokenize and merge as Ray Data tasks, as the build
-does. Both paths write the same partials and the same segment files; the
-segment's ``stats/meta.json`` records which one ran (``in_process``).
+does. Both paths write the same partials and the same segment tables; the
+in-process path writes the segment's postings as ONE term-sorted file where
+the Ray path writes one file per bucket, and builds the dictionary from the
+postings it holds instead of reading them back. The segment's
+``stats/meta.json`` records which path ran (``in_process``). In process,
+the tokenizer's split cache is the process's shared one
+(``functions/tokenizer.shared_tokenizer``), warm from earlier appends.
 
 Correctness of multi-segment BM25 (state/searcher.py loads base + segments):
 
@@ -188,10 +193,11 @@ def append_segment(
     Size rule: when the adopted partitions hold at most ``partition_rows``
     rows in total, tokenize and merge run in this process with no Ray call
     (so do doc ids and the dictionary, whatever ``driver_small_threshold``
-    says); otherwise as Ray Data tasks. ``retries`` and ``parallelism``
-    apply to Ray tasks only: an in-process failure raises to the caller,
-    and the next call redoes the append through the same un-``_SUCCESS``
-    wipe.
+    says) and the segment gets one postings file; otherwise they run as
+    Ray Data tasks, one postings file per bucket. ``retries`` and
+    ``parallelism`` apply to Ray tasks only: an in-process failure raises
+    to the caller, and the next call redoes the append through the same
+    un-``_SUCCESS`` wipe.
     """
     from astrologer_ray.pipelines.build import (
         _assign_doc_ids,
@@ -342,7 +348,7 @@ def append_segment(
 
     # ---- stage 3: encode ONLY the new partitions' postings
     _t0 = _time.time()
-    _encode_postings(
+    postings = _encode_postings(
         partials_dir, os.path.join(seg_dir, "docs"),
         os.path.join(seg_dir, "postings"), chunk_bits, n_shards, parallelism,
         driver_small_threshold=driver_small_threshold,
@@ -355,7 +361,7 @@ def append_segment(
     _t0 = _time.time()
     n_terms = _write_dictionary(
         os.path.join(seg_dir, "postings"), os.path.join(seg_dir, "dict"),
-        driver_small_threshold,
+        driver_small_threshold, postings=postings,
     )
     timings["dictionary"] = _time.time() - _t0
 
@@ -378,8 +384,8 @@ def append_segment(
         "chunk_bits": chunk_bits,
         "n_shards": n_shards,
         "n_buckets": n_buckets,
-        # same merge path as the base build: buckets are written
-        # (term, last_doc_id)-sorted
+        # every postings file, one per bucket or the one in-process
+        # file, is written (term, last_doc_id)-sorted
         "postings_term_sorted": True,
     }
     with open(os.path.join(seg_dir, "stats", "meta.json"), "w") as f:

@@ -44,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from astrologer_ray.functions.tokenizer import CodeTokenizer
+from astrologer_ray.functions.tokenizer import shared_tokenizer
 from astrologer_ray.layout import FIELD_SEP, KEY_SEP  # noqa: F401  (re-exported)
 
 LROW_BITS = 40
@@ -280,11 +280,11 @@ def _sha256_per_row(col) -> list[str]:
 
 
 class TokenizePartials:
-    """Actor-pool stage: one input row = one partition unit.
-
-    ``__init__`` happens once per actor (tokenizer split-cache amortised
-    across units — SURVEY §2.3 ST4); ``__call__`` per batch of units.
-    Returns the metrics rows (the tiny dataset the driver collects).
+    """Stage-1 body: one input row = one partition unit; ``__call__`` runs
+    a batch of units and returns their metrics rows (the tiny dataset the
+    driver collects). Construction is cheap: the tokenizer is the
+    process-wide one of the mode (``shared_tokenizer``), so its split
+    cache carries over between instances, tasks and appends.
     """
 
     def __init__(
@@ -305,7 +305,7 @@ class TokenizePartials:
         so string order == numeric order (paging-token format analog,
         /root/reference/es/paging_token.go:17-30)."""
         self.partials_dir = partials_dir
-        self.tok = CodeTokenizer(mode=mode)
+        self.tok = shared_tokenizer(mode)
         self.column_map = column_map or {
             c: c for c in ("repo", "path", "commit", "lang", "content")
         }
@@ -569,12 +569,13 @@ def tokenize_units_multi(batch: pa.Table, *, specs: dict) -> pa.Table:
 
 
 def tokenize_units(batch: pa.Table, **kwargs) -> pa.Table:
-    """Stateless-task wrapper around :class:`TokenizePartials`.
+    """Task wrapper around :class:`TokenizePartials`.
 
     Plain Ray tasks reuse warm worker processes (imports already loaded),
     while a fresh actor pool pays process spawn + import per actor per
-    build — measurably worse for short stages. Construction is cheap, so
-    per-task instantiation costs nothing; the tokenizer split cache is
-    still effective within a unit (one vectorized batch per unit).
+    build — measurably worse for short stages. Each task builds a new
+    :class:`TokenizePartials`, but the tokenizer it uses is the worker's
+    (or, in process, the driver's) shared one, whose split cache is
+    already warm from earlier units.
     """
     return TokenizePartials(**kwargs)(batch)

@@ -466,7 +466,7 @@ def _segment_tables(seg_dir: str) -> dict:
         "dict": read("dict").sort_by("term"),
         "docs": docs.drop_columns(["lrow"]).sort_by("doc_id"),
         "in_process": json.load(
-            open(os.path.join(seg_dir, "stats", "meta.json")))["in_process"],
+            open(os.path.join(seg_dir, "stats", "meta.json"))).get("in_process"),
     }
 
 
@@ -561,6 +561,53 @@ def test_in_process_appends_match_oracle_and_full_build(tail_env):
         for strategy in ("taat", "wand"):
             assert (_hits(chain, q, strategy=strategy)
                     == _hits(full, q, strategy=strategy))
+
+
+def _postings_files(seg_dir: str) -> list[str]:
+    return sorted(f for f in os.listdir(os.path.join(seg_dir, "postings"))
+                  if f.endswith(".parquet"))
+
+
+def test_in_process_segment_is_one_sorted_postings_file(tail_env):
+    """An in-process append writes its segment's postings as one
+    (term, last_doc_id)-sorted file with one merge manifest; a Ray Data
+    append writes one file per bucket; check_index passes on both."""
+    from astrologer_ray.pipelines.integrity import check_index
+
+    e = tail_env
+    segs = {(name, n): os.path.join(e[name], "segments", f"seg-{n:06d}")
+            for name, n in (("idx100", 1), ("idx100", 2), ("idx300", 1),
+                            ("idx300", 2))}
+    for (name, n), seg in segs.items():
+        if _seg(e[name], n)["in_process"]:
+            assert _postings_files(seg) == ["post-all.parquet"]
+            assert sorted(f for f in os.listdir(os.path.join(seg, "postings"))
+                          if f.endswith(".json")) == ["merge-manifest-all.json"]
+            t = pq.read_table(os.path.join(seg, "postings", "post-all.parquet"))
+            assert t.num_rows > 0
+            assert t.equals(t.sort_by([("term", "ascending"),
+                                       ("last_doc_id", "ascending")]))
+        else:
+            assert len(_postings_files(seg)) > 1
+            assert all(f.startswith("post-bucket-") for f in _postings_files(seg))
+    for name in ("idx100", "idx300"):
+        res = check_index(e[name])
+        assert res["ok"], res["errors"]
+
+
+def test_compact_after_in_process_appends_equals_full_build(tail_env, tmp_path):
+    """Compacting a base plus two in-process segments gives the tables of
+    a full build of the same files."""
+    import shutil
+
+    from astrologer_ray.pipelines.segments import compact_index, segment_dirs
+
+    e = tail_env
+    idx = str(tmp_path / "idx")
+    shutil.copytree(e["idx300"], idx)
+    compact_index(e["files"], idx, partition_rows=300)
+    assert segment_dirs(idx) == []
+    _assert_same_segment(_segment_tables(idx), _segment_tables(e["full"]))
 
 
 def test_in_process_append_failure_is_atomic(tail_env, tmp_path, monkeypatch):

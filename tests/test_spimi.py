@@ -2,8 +2,9 @@
 partial postings equal a reference built from the scalar ``token_counts``
 / ``tokenize`` oracle, ordered by ``(term_hash % n_buckets, term_hash,
 lrow)``, for every tokenizer mode, positions, keyword fields and content
-column layout; and partials written with the writer's former default
-options still resume, append and compact into the same index tables."""
+column layout, whatever the process-wide tokenizer's split cache holds;
+and partials written with the writer's former default options still
+resume, append and compact into the same index tables."""
 
 import glob
 import json
@@ -19,6 +20,7 @@ from astrologer_ray.functions import tokenizer
 from astrologer_ray.functions.codec import term_hash64
 from astrologer_ray.functions.tokenizer import token_counts, tokenize
 from astrologer_ray.layout import FIELD_SEP
+from astrologer_ray.stages import spimi
 from astrologer_ray.stages.spimi import (
     LROW_BITS,
     POST_SCHEMA,
@@ -246,3 +248,91 @@ def test_old_format_partials_resume_append_compact(ray_session, small_corpus_dir
     for idx in (new, old):
         compact_index(parts, idx, partition_rows=64)
     _assert_same_tables(new, old)
+
+
+# --- the process-wide split cache ----------------------------------------
+
+def _partials(stage: TokenizePartials, t: pa.Table, part_id: int) -> tuple:
+    """(post, docs) partial tables of ``t`` written as partition ``part_id``."""
+    stage._process_table(t, {"part_id": part_id, "file": __file__,
+                             "rg_start": 0, "rg_end": 1})
+    return tuple(pq.read_table(os.path.join(stage.partials_dir,
+                                            f"{kind}-{part_id:06d}.parquet"))
+                 for kind in ("post", "docs"))
+
+
+def _fresh_partials(tmp_path, monkeypatch, tables, mode, positions, keywords):
+    """Each table's partials from its own fresh ``CodeTokenizer``."""
+    with monkeypatch.context() as m:
+        m.setattr(spimi, "shared_tokenizer", tokenizer.CodeTokenizer)
+        return [_partials(_stage(tmp_path / f"fresh{i}", mode, positions, keywords),
+                          t, i) for i, t in enumerate(tables)]
+
+
+def _partitions() -> list:
+    return [_table(_docs(seed=s, n=n), layout)
+            for s, n, layout in ((7, 40, "string"), (11, 120, "chunked"),
+                                 (5, 60, "string"))]
+
+
+@pytest.mark.parametrize("keywords", [False, True])
+@pytest.mark.parametrize("positions", [False, True])
+@pytest.mark.parametrize("mode", ["code", "simple"])
+def test_partials_do_not_depend_on_cache_state(tmp_path, monkeypatch, mode,
+                                               positions, keywords):
+    """Partials written through the process-wide tokenizer, warm from
+    other partitions, equal those of a fresh tokenizer."""
+    tables = _partitions()
+    want = _fresh_partials(tmp_path, monkeypatch, tables, mode, positions, keywords)
+    shared = tokenizer.shared_tokenizer(mode)
+    shared.batch_postings(pa.array(_docs(seed=3, n=200)), n_buckets=5)
+    stage = _stage(tmp_path / "shared", mode, positions, keywords)
+    assert stage.tok is shared
+    for i in (2, 0, 1, 0):
+        assert _partials(stage, tables[i], i) == want[i], i
+
+
+@pytest.mark.parametrize("mode", ["code", "simple"])
+def test_cache_bound_resets_between_batches(tmp_path, monkeypatch, mode):
+    """A cache past ``SPLIT_CACHE_TOKENS`` starts fresh before the next
+    batch, and the partials stay the same."""
+    tables = _partitions()
+    want = _fresh_partials(tmp_path, monkeypatch, tables, mode, True, True)
+    monkeypatch.setattr(tokenizer, "SPLIT_CACHE_TOKENS", 4)
+    tok = tokenizer.CodeTokenizer(mode)
+    monkeypatch.setattr(spimi, "shared_tokenizer", lambda mode: tok)
+    resets = []
+    reset = tok._reset
+    monkeypatch.setattr(tok, "_reset", lambda: resets.append(1) or reset())
+    stage = _stage(tmp_path / "bounded", mode, True, True)
+    for i, t in enumerate(tables):
+        assert _partials(stage, t, i) == want[i], i
+    assert len(resets) == len(tables) - 1
+    assert len(tok._tok2ids) > 4
+
+
+@pytest.mark.parametrize("mode", ["code", "simple"])
+def test_threads_share_one_tokenizer(tmp_path, monkeypatch, mode):
+    """Two threads tokenizing different partitions at once through one
+    shared tokenizer write the partials a fresh tokenizer writes."""
+    import threading
+
+    tables = _partitions()[:2]
+    want = _fresh_partials(tmp_path, monkeypatch, tables, mode, True, True)
+    tok = tokenizer.CodeTokenizer(mode)
+    monkeypatch.setattr(spimi, "shared_tokenizer", lambda mode: tok)
+    start = threading.Barrier(2)
+    got: dict = {}
+
+    def work(i: int) -> None:
+        stage = _stage(tmp_path / f"thread{i}", mode, True, True)
+        start.wait()
+        got[i] = [_partials(stage, tables[i], i) for _ in range(4)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    for i in (0, 1):
+        assert got[i] == [want[i]] * 4, i
