@@ -767,7 +767,9 @@ def _write_dictionary(postings_dir: str, dict_dir: str,
     is the chunk table an in-process merge returned; without it the
     summaries are read from ``postings_dir``."""
     if postings is None:
-        post_files = glob.glob(os.path.join(postings_dir, "*.parquet"))
+        # name order: the dictionary's row order must not follow the
+        # filesystem's directory listing
+        post_files = sorted(glob.glob(os.path.join(postings_dir, "*.parquet")))
         n_chunk_rows = sum(pq.read_metadata(p).num_rows for p in post_files)
         if n_chunk_rows > driver_small_threshold:
             import ray.data as rd
@@ -775,7 +777,7 @@ def _write_dictionary(postings_dir: str, dict_dir: str,
 
             # explicit file list: the dir also holds merge-manifest sidecars
             chunks_summary = rd.read_parquet(
-                sorted(post_files), columns=["term", "n", "sum_tf"])
+                post_files, columns=["term", "n", "sum_tf"])
             dictionary = chunks_summary.groupby("term").aggregate(
                 Sum("n", alias_name="df"),
                 Sum("sum_tf", alias_name="cf"),

@@ -72,8 +72,9 @@ methods — this module adds translation, not retrieval):
   score) and ``percentile_ranks`` (exact).  Sub-aggregations nest
   RECURSIVELY under terms / histogram / date_histogram / range /
   filters / global / missing / sampler buckets (terms-inside-terms,
-  date_histogram-with-terms, ...) — each bucket's predicate composes
-  into the scope filter via ``_compose_scope``.
+  date_histogram-with-terms, ...) — a bucket's docs are its own
+  predicate's mask ANDed with the enclosing scope's mask (ES's bucket
+  collectors: the query is never evaluated again per bucket).
   Aggregations scope to the query's matching docs, like ES.
   ``execute_count`` serves the ``_count`` endpoint; ``shard_plan`` /
   ``merge_sharded`` implement the scatter-gather merge contract a pool
@@ -141,10 +142,10 @@ Translation: a query becomes a :class:`_Translated` — plain match terms
 (must / should / msm / per-term boosts), filter-context clauses, and at
 most one scorer :class:`_Node` for any other kind. Only the kind's own
 ``_translate`` branch names it; the node carries the Searcher call that
-ranks it, how ``hits.total`` counts it and the should-clauses it adds to
-the agg scope, so the dispatchers (``_run_hits``, ``_matched``,
-``_agg_scope_filter``, ``_is_plain_match``, ``execute_explain``) name no
-kind. Nodes do not compose yet: a second node, a standalone node
+ranks it, how ``hits.total`` counts it and the words it adds to the
+match set, so the dispatchers (``_run_hits``, ``_matched``,
+``_is_plain_match``, ``execute_explain``) name no kind. Nodes do not
+compose yet: a second node, a standalone node
 (phrase / span / prefix / dis_max / constant_score) beside scored terms,
 and a reranking node (pinned / boosting / function_score / script_score
 / rank_feature / distance_feature) without must terms or with should
@@ -153,6 +154,12 @@ node's ranking would drop (top-level ``min_score`` and ``search_after``,
 a match clause's ``boost``). A field ``sort`` orders exactly the docs
 ``hits.total`` counts, and so do the aggs of a node whose total is
 "rank".
+
+Execution: a request's filter clauses are evaluated once, into its live
+mask (filter clauses AND not deleted, ``Searcher._live_mask``). The hits
+rank within it, the match mask (:func:`_matched`) is derived from it and
+the posting lists, ``hits.total`` is the match mask's popcount, and every
+aggregation runs within the match mask.
 """
 
 from __future__ import annotations
@@ -207,12 +214,13 @@ class _Node:
     that is neither a plain match nor a filter. Only the kind's own
     ``_translate`` branch builds one.
 
-    - ``rank(s, k, filter)``: the Searcher call that ranks it.
+    - ``rank(s, k, live)``: the Searcher call that ranks it within the
+      request's live mask ``live``.
     - ``total``: how ``hits.total`` and the aggs count it. "rank" runs
-      ``rank`` at ``k = n_local`` (the exact predicate, which the agg
-      scope would overcount); "scope" counts the agg scope, and the
-      ``pins`` ids (pinned) as matches beside it.
-    - ``scope``: the words it adds to the agg scope, a ``match`` each.
+      ``rank`` at ``k = n_local`` (the exact predicate, which the match
+      words would overcount); "scope" counts the live docs holding a
+      match word, and the ``pins`` ids (pinned) as matches beside them.
+    - ``scope``: the match words it adds beside the scoring terms.
     - ``rerank``: it re-ranks the must terms' matches (pinned, boosting,
       function_score, script_score, rank_feature, distance_feature), so
       it needs must terms and takes no should terms. Every other node
@@ -873,10 +881,12 @@ def _parse_sort(sort) -> list[tuple[str, bool]] | None:
     return None if parsed[0][0] == "_score" else parsed
 
 
-def _run_hits(s, t: _Translated, size, min_score=None, after=None):
-    """The query's top ``size`` hits in its own ranking. A scorer node
-    ranks by ``(k, filter)`` alone, so the keys it would drop are refused:
-    ``min_score``, ``search_after`` and a match clause's ``boost``."""
+def _run_hits(s, t: _Translated, live, size, min_score=None, after=None):
+    """The query's top ``size`` hits in its own ranking, within the live
+    mask ``live`` of ``t``'s filter clauses (``Searcher._live_mask``). A
+    scorer node ranks by ``(k, live)`` alone, so the keys it would drop
+    are refused: ``min_score``, ``search_after`` and a match clause's
+    ``boost``."""
     if t.node is not None:
         for key, given in (("min_score", min_score is not None),
                            ("search_after", after is not None),
@@ -884,49 +894,49 @@ def _run_hits(s, t: _Translated, size, min_score=None, after=None):
             if given:
                 raise NotImplementedError(
                     f"{key} is not supported with a {t.node.kind} query")
-        return t.node.rank(s, size, t.filter)
+        return t.node.rank(s, size, live)
     if t.terms or t.should_terms:
-        return s.search(t.terms, k=size, filter=t.filter,
+        return s.search(t.terms, k=size, filter=live,
                         should_terms=t.should_terms or None,
                         min_should_match=t.msm, boosts=t.boosts or None,
                         min_score=min_score, after=after)
-    return s.search_constant_score(t.filter, boost=1.0, k=size)
+    return s.search_constant_score(live, boost=1.0, k=size)
 
 
-def _sort_hits(s, sort, size, filter, after):
-    """Field sort (ES tie-breaker keys, then doc_id asc) of the docs
-    ``filter`` selects; the search_after cursor is ``(v1, ..., vN,
+def _sort_hits(s, sort, size, keep, after):
+    """Field sort (ES tie-breaker keys, then doc_id asc) of the docs in
+    the mask ``keep``; the search_after cursor is ``(v1, ..., vN,
     doc_id)``."""
     if len(sort) > 1:
-        return s.sort_by_attrs(sort, k=size, filter=filter, after=after)
+        return s.sort_by_attrs(sort, k=size, filter=keep, after=after)
     ((attr, desc),) = sort
-    return s.sort_by_attr(attr, k=size, descending=desc, filter=filter,
+    return s.sort_by_attr(attr, k=size, descending=desc, filter=keep,
                           after=after)
 
 
-def _agg_scope_filter(s, t: _Translated):
-    """The query's matching docs as a filter when no node ranks them and
-    no msm > 1 applies: scoring terms become a should-filter (>=1 term),
-    composed with the filter clauses (see :func:`_matched`)."""
-    parts = list(t.filters)
-    node = t.node
-    sterms = t.terms + t.should_terms + (node.scope if node else [])
-    should = [{"match": w} for w in sorted(set(sterms))]
-    if should:
-        parts.append({"bool": {"should": should}})
-    if not parts:
-        return None
-    return parts[0] if len(parts) == 1 else {"bool": {"must": parts}}
+def _within(s, keep, pred: dict) -> np.ndarray:
+    """A bucket's docs: the live docs matching the bucket's own predicate
+    ``pred`` (filter DSL) within the enclosing scope's mask ``keep``
+    (None: every doc). Only the predicate is evaluated — the recursion
+    step that lets bucket aggs nest arbitrarily (ES's terms-inside-terms,
+    date_histogram-with-terms, ... shapes)."""
+    m = s._live_mask(pred)  # fresh: ours to mutate
+    if keep is not None:
+        m &= keep
+    return m
 
 
-def _compose_scope(scope, part: dict) -> dict:
-    """Bucket scope = surrounding agg scope ∧ this bucket's predicate —
-    the recursion step that lets bucket aggs nest arbitrarily (ES's
-    terms-inside-terms, date_histogram-with-terms, ... shapes)."""
-    return part if scope is None else {"bool": {"must": [scope, part]}}
+def _all_docs(s, keep) -> np.ndarray:
+    """A scope mask as an array: None (every doc, no tombstones) becomes
+    all-true."""
+    return np.ones(s.n_local, dtype=bool) if keep is None else keep
 
 
-def _histogram(s, arg: dict, subs: dict, scope,
+def _popcount(s, keep) -> int:
+    return s.n_local if keep is None else int(np.count_nonzero(keep))
+
+
+def _histogram(s, arg: dict, subs: dict, keep,
                qterms: list | None = None) -> list[dict]:
     attr = arg["field"]
     interval = arg.get("interval") or arg.get("fixed_interval") \
@@ -934,11 +944,7 @@ def _histogram(s, arg: dict, subs: dict, scope,
     width = _CALENDAR.get(interval, interval)
     width = float(width)
     col = np.asarray(s._attr(attr), dtype=np.float64)
-    mask = s._apply_deletes(
-        s.filter_mask(scope) if scope is not None else None)
-    keep = np.ones(len(col), dtype=bool) if mask is None else mask.copy()
-    keep &= ~np.isnan(col)
-    idx = np.flatnonzero(keep)
+    idx = np.flatnonzero(_all_docs(s, keep) & ~np.isnan(col))
     if len(idx) == 0:
         return []
     if not subs:
@@ -1042,21 +1048,14 @@ def _histogram(s, arg: dict, subs: dict, scope,
             b[rname] = {"value": total * _RATE_UNITS[rarg["unit"]] / width
                         if "unit" in rarg else total}
         if other_subs:
-            # recurse with the bucket's half-open range as the scope, so
-            # sub-aggs may be metric OR bucket aggs (full ES nesting)
+            # recurse within the bucket's half-open range, so sub-aggs
+            # may be metric OR bucket aggs (full ES nesting)
             part = {"range": {attr: {"gte": float(key),
                                      "lt": float(key) + width}}}
-            b.update(_run_aggs(s, other_subs, _compose_scope(scope, part),
+            b.update(_run_aggs(s, other_subs, _within(s, keep, part),
                                qterms))
         out.append(b)
     return out
-
-
-def _scope_keep(s, scope) -> np.ndarray:
-    """Boolean keep-mask over local docs: agg scope ∧ live (tombstones)."""
-    mask = s._apply_deletes(
-        s.filter_mask(scope) if scope is not None else None)
-    return np.ones(s.n_local, dtype=bool) if mask is None else mask
 
 
 def _epoch_bound(v) -> float | None:
@@ -1095,7 +1094,7 @@ def _metric_result(s, fn: str, arg: dict, keep: np.ndarray) -> dict:
             return {"value": None}
         return {"value": float((vv[m] * ww[m]).sum() / tw)}
     if fn == "string_stats":
-        col = np.asarray(s._attr(arg["field"]))[keep]
+        col = s._gather(np.asarray(s._attr(arg["field"])), keep)
         vals = [str(x) for x in col if x is not None]
         if not vals:
             return {"count": 0, "min_length": None, "max_length": None,
@@ -1136,7 +1135,7 @@ def _metric_result(s, fn: str, arg: dict, keep: np.ndarray) -> dict:
         counts, _ = s._code_counts(arg["field"], keep)
         return {"value": int(np.count_nonzero(counts))}
     col = np.asarray(s._attr(arg["field"]), dtype=np.float64)
-    v = col[keep]
+    v = s._gather(col, keep)
     v = v[~np.isnan(v)]
     n = int(len(v))
     if fn == "value_count":
@@ -1213,8 +1212,8 @@ def _metric_result(s, fn: str, arg: dict, keep: np.ndarray) -> dict:
 
 
 # bucket aggs that accept nested sub-aggregations (recursion via
-# _compose_scope); a sub-agg under any other kind raises rather than
-# being silently dropped
+# _within); a sub-agg under any other kind raises rather than being
+# silently dropped
 _SUB_CAPABLE = {"terms", "histogram", "date_histogram",
                 "auto_date_histogram", "range", "date_range", "filters",
                 "global", "missing", "sampler", "diversified_sampler"}
@@ -1489,7 +1488,10 @@ def _sibling_bucket_result(out: dict, kind: str, arg: dict) -> dict:
     return {"value": best, "keys": [k for k, v in vals if v == best]}
 
 
-def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
+def _run_aggs(s, aggs: dict, keep, qterms: list | None = None) -> dict:
+    """The aggregations ``aggs`` over the docs in the live mask ``keep``
+    (None: every doc, no tombstones). ``keep`` is shared with the caller
+    and the sibling aggs: it is read, never mutated."""
     out = {}
     sibling = []
     for name, spec in aggs.items():
@@ -1518,7 +1520,7 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             # fields) — the default count-desc path stays top-k
             rows = s.agg_terms(arg["field"],
                                k=s.n_local if order else tsize,
-                               filter=scope)
+                               filter=keep)
             opath = None
             if order:
                 ((opath, odir),) = order.items()
@@ -1540,9 +1542,9 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
                 b = {"key": k, "doc_count": int(c)}
                 if normal:  # ES's bread-and-butter shape: sub-aggs may be
                     # metric (avg/sum/...) or bucket (terms/histogram/...)
-                    # aggs — recurse with this bucket's term as the scope
-                    b.update(_run_aggs(s, normal, _compose_scope(
-                        scope, {"term": {arg["field"]: k}}), qterms))
+                    # aggs — recurse within this bucket's term
+                    b.update(_run_aggs(s, normal, _within(
+                        s, keep, {"term": {arg["field"]: k}}), qterms))
                 buckets.append(b)
             if order and opath not in ("_key", "_count"):
                 # a sub-agg metric path; missing values sort last
@@ -1558,43 +1560,39 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
         elif kind == "multi_terms":
             fields = [f["field"] for f in arg["terms"]]
             rows = s.agg_multi_terms(fields, k=int(arg.get("size", 10)),
-                                     filter=scope)
+                                     filter=keep)
             out[name] = {"buckets": [
                 {"key": list(k), "doc_count": int(c)} for k, c in rows]}
         elif kind == "significant_terms":
             rows = s.agg_significant_terms(
-                arg["field"], k=int(arg.get("size", 10)), filter=scope)
+                arg["field"], k=int(arg.get("size", 10)), filter=keep)
             out[name] = {"buckets": [
                 {"key": v, "doc_count": int(fg), "bg_count": int(bg),
                  "score": sc} for v, fg, bg, sc in rows]}
         elif kind == "rare_terms":
             rows = s.agg_rare_terms(
                 arg["field"], max_doc_count=int(arg.get("max_doc_count", 1)),
-                filter=scope)
+                filter=keep)
             out[name] = {"buckets": [
                 {"key": k, "doc_count": int(c)} for k, c in rows]}
         elif kind == "filters":
-            named = {n: f for n, f in arg["filters"].items()}
-            if scope is not None:
-                named = {n: {"bool": {"must": [f, scope]}}
-                         for n, f in named.items()}
-            buckets = {n: {"doc_count": int(c)}
-                       for n, c in s.agg_filters(named)}
-            if subs:  # per named bucket, recurse with its filter as scope
-                for n in buckets:
-                    buckets[n].update(_run_aggs(s, subs, named[n], qterms))
+            named = {str(n): _within(s, keep, f)
+                     for n, f in sorted(arg["filters"].items())}
+            buckets = {n: {"doc_count": _popcount(s, m)}
+                       for n, m in named.items()}
+            if subs:  # per named bucket, recurse within its filter
+                for n, m in named.items():
+                    buckets[n].update(_run_aggs(s, subs, m, qterms))
             out[name] = {"buckets": buckets}
         elif kind == "adjacency_matrix":
-            named = {n: f for n, f in arg["filters"].items()}
-            if scope is not None:
-                named = {n: {"bool": {"must": [f, scope]}}
-                         for n, f in named.items()}
+            named = {n: _within(s, keep, f)
+                     for n, f in arg["filters"].items()}
             out[name] = {"buckets": [
                 {"key": k, "doc_count": int(c)}
                 for k, c in s.agg_adjacency_matrix(named)]}
         elif kind in ("histogram", "date_histogram"):
             normal, pipes = _split_parent_pipelines(subs)
-            buckets = _histogram(s, arg, normal, scope, qterms)
+            buckets = _histogram(s, arg, normal, keep, qterms)
             out[name] = {"buckets": _apply_parent_pipelines(buckets, pipes)}
         elif kind == "auto_date_histogram":
             # ES auto_date_histogram: smallest fixed-interval ladder step
@@ -1605,11 +1603,11 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
 
             target = int(arg.get("buckets", 10))
             col = np.asarray(s._attr(arg["field"]), dtype=np.float64)
-            keep = _scope_keep(s, scope) & ~np.isnan(col)
-            if not keep.any():
+            vals = s._gather(col, _all_docs(s, keep) & ~np.isnan(col))
+            if not len(vals):
                 out[name] = {"buckets": [], "interval": None}
                 continue
-            lo, hi = float(col[keep].min()), float(col[keep].max())
+            lo, hi = float(vals.min()), float(vals.max())
             width = next(
                 (w / 1e6 for w in AUTO_HIST_LADDER_US
                  if (hi // (w / 1e6)) - (lo // (w / 1e6)) + 1 <= target),
@@ -1617,7 +1615,7 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             normal, pipes = _split_parent_pipelines(subs)
             buckets = _histogram(
                 s, {"field": arg["field"], "interval": width},
-                normal, scope, qterms)
+                normal, keep, qterms)
             out[name] = {
                 "buckets": _apply_parent_pipelines(buckets, pipes),
                 "interval": f"{width:g}s",
@@ -1625,20 +1623,16 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
         elif kind == "global":
             # ES global agg: escapes the query scope — sub-aggs run over
             # ALL live docs regardless of the surrounding query
-            sub = _run_aggs(s, subs, None, qterms)
-            out[name] = {"doc_count": int(_scope_keep(s, None).sum()),
-                         **sub}
+            live = s._live_mask(None)
+            out[name] = {"doc_count": _popcount(s, live),
+                         **_run_aggs(s, subs, live, qterms)}
         elif kind == "missing":
             # docs in scope WITHOUT a value for the field (NaN / None:
             # code -1)
-            keep = _scope_keep(s, scope)
-            absent = s._attr_codes(arg["field"])[0] < 0
-            out[name] = {"doc_count": int((keep & absent).sum())}
+            absent = _all_docs(s, keep) & (s._attr_codes(arg["field"])[0] < 0)
+            out[name] = {"doc_count": int(np.count_nonzero(absent))}
             if subs:  # ES: sub-aggs run over exactly the counted docs
-                mids = (np.flatnonzero(keep & absent) + s.doc_lo).tolist()
-                out[name].update(
-                    _run_aggs(s, subs, {"ids": [int(i) for i in mids]},
-                              qterms))
+                out[name].update(_run_aggs(s, subs, absent, qterms))
         elif kind == "sampler":
             # ES sampler: sub-aggs run over the top shard_size docs by
             # the surrounding query's score (doc order under match_all)
@@ -1646,15 +1640,14 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             if qterms:
                 ids = [h["doc_id"]
                        for h in s.search(list(qterms), k=n_top,
-                                         filter=scope)]
+                                         filter=keep)]
             else:
-                ids = (np.flatnonzero(_scope_keep(s, scope))[:n_top]
+                ids = (np.flatnonzero(_all_docs(s, keep))[:n_top]
                        + s.doc_lo).tolist()
             out[name] = {"doc_count": len(ids)}
             if subs:
-                out[name].update(
-                    _run_aggs(s, subs, {"ids": [int(i) for i in ids]},
-                              qterms))
+                out[name].update(_run_aggs(s, subs, s._ids_mask(ids),
+                                           qterms))
         elif kind == "diversified_sampler":
             # ES diversified_sampler: the sampler agg with per-value
             # dedup on `field` — streaming the score-ordered candidates,
@@ -1668,9 +1661,9 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             if qterms:
                 cand = [h["doc_id"]
                         for h in s.search(list(qterms), k=s.n_local,
-                                          filter=scope)]
+                                          filter=keep)]
             else:
-                cand = (np.flatnonzero(_scope_keep(s, scope))
+                cand = (np.flatnonzero(_all_docs(s, keep))
                         + s.doc_lo).tolist()
             ids, seen = [], {}
             for d in cand:
@@ -1684,7 +1677,8 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
                     break
             out[name] = {"doc_count": len(ids)}
             if subs:
-                out[name].update(_run_aggs(s, subs, {"ids": ids}, qterms))
+                out[name].update(_run_aggs(s, subs, s._ids_mask(ids),
+                                           qterms))
         elif kind == "matrix_stats":
             # ES matrix_stats over >= 2 numeric sidecar/runtime attrs:
             # per-field count/mean/variance/skewness/kurtosis plus
@@ -1695,13 +1689,13 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             # moments. The distributed integer-moment twin is
             # pipelines.aggs.matrix_stats.
             fields = list(arg["fields"])
-            keep = _scope_keep(s, scope).copy()
             cols = {f: np.asarray(s._attr(f), dtype=np.float64)
                     for f in fields}
+            valued = _all_docs(s, keep).copy()
             for f in fields:
-                keep &= ~np.isnan(cols[f])
-            n = int(keep.sum())
-            X = {f: cols[f][keep] for f in fields}
+                valued &= ~np.isnan(cols[f])
+            n = int(valued.sum())
+            X = {f: cols[f][valued] for f in fields}
             rows = []
             for f in fields:
                 if n == 0:
@@ -1739,19 +1733,18 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             # cardinality is exact distinct (the sketch flavor lives in
             # pipelines.aggs.hll_distinct) — ES's t-digest/HLL converge
             # to these
-            out[name] = _metric_result(s, kind, arg, _scope_keep(s, scope))
+            out[name] = _metric_result(s, kind, arg, _all_docs(s, keep))
         elif kind in ("range", "date_range"):
             # ES range agg: half-open [from, to) buckets, key "a-b";
             # date_range additionally accepts ISO-8601 strings for
             # from/to (attrs store epoch seconds; naive stamps are UTC)
             col = np.asarray(s._attr(arg["field"]), dtype=np.float64)
-            keep = _scope_keep(s, scope).copy()
-            keep &= ~np.isnan(col)
+            valued = _all_docs(s, keep) & ~np.isnan(col)
             buckets = []
             for r in arg["ranges"]:
                 lo = _epoch_bound(r.get("from"))
                 hi = _epoch_bound(r.get("to"))
-                m = keep.copy()
+                m = valued.copy()
                 bounds = {}
                 if lo is not None:
                     m &= col >= float(lo)
@@ -1767,13 +1760,12 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
                     b["from"] = float(lo)
                 if hi is not None:
                     b["to"] = float(hi)
-                if subs:  # recurse with this bucket's range as the scope
+                if subs:  # recurse within this bucket's range
                     # (gte -inf for a fully-open bucket: NaN >= -inf is
                     # False, matching the doc_count's NaN exclusion)
                     part = {"range": {arg["field"]:
                                       bounds or {"gte": float("-inf")}}}
-                    b.update(_run_aggs(s, subs,
-                                       _compose_scope(scope, part),
+                    b.update(_run_aggs(s, subs, _within(s, keep, part),
                                        qterms))
                 buckets.append(b)
             out[name] = {"buckets": buckets}
@@ -1787,7 +1779,7 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             if arg.get("after") is not None:
                 after = tuple(arg["after"][n] for n in names)
             res = s.agg_composite(fields, size=int(arg.get("size", 10)),
-                                  after=after, filter=scope)
+                                  after=after, filter=keep)
             out[name] = {"buckets": [
                 {"key": dict(zip(names, kt)), "doc_count": c}
                 for kt, c in res["buckets"]]}
@@ -1800,12 +1792,12 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
             rows = s.search_top_hits(
                 terms=arg.get("terms", []), group_attr=arg["field"],
                 n_hits=int(arg.get("size", 3)),
-                k_groups=int(arg.get("groups", 10)), filter=scope,
+                k_groups=int(arg.get("groups", 10)), filter=keep,
             )
             out[name] = {"hits": rows}
         elif kind == "top_hits":
-            # proper ES top_hits: inside a bucket agg, `scope` already
-            # carries the bucket's predicate (via _compose_scope), so the
+            # proper ES top_hits: inside a bucket agg, `keep` already
+            # holds only the bucket's docs (via _within), so the
             # hits are the bucket's best docs — by explicit sort, by the
             # surrounding query's BM25 score, or (match_all) in doc order
             thk = int(arg.get("size", 3))
@@ -1818,15 +1810,15 @@ def _run_aggs(s, aggs: dict, scope, qterms: list | None = None) -> dict:
                     ((attr, opts),) = one.items()
                     specs.append(
                         (attr, (opts or {}).get("order", "desc") == "desc"))
-                rows = s.sort_by_attrs(specs, k=thk, filter=scope)
+                rows = s.sort_by_attrs(specs, k=thk, filter=keep)
                 hits = [{"_id": r["doc_id"], "sort": r["sort"]}
                         for r in rows]
             elif qterms:
-                rows = s.search(list(qterms), k=thk, filter=scope)
+                rows = s.search(list(qterms), k=thk, filter=keep)
                 hits = [{"_id": r["doc_id"], "_score": r["score"]}
                         for r in rows]
             else:
-                ids = np.flatnonzero(_scope_keep(s, scope))[:thk]
+                ids = np.flatnonzero(_all_docs(s, keep))[:thk]
                 hits = [{"_id": int(i) + s.doc_lo, "_score": 1.0}
                         for i in ids]
             for h in hits:  # _source: requested doc attrs, ES-style
@@ -1848,7 +1840,7 @@ def _retriever_ranking(s, spec: dict, window: int) -> list[int]:
     if kind == "standard":
         t = _translate(s, arg.get("query"))
         return [h["doc_id"]
-                for h in _run_hits(s, t, window)]
+                for h in _run_hits(s, t, s._live_mask(t.filter), window)]
     if kind == "knn":
         return [h["doc_id"] for h in s.knn(
             arg["field"], arg["query_vector"], k=window,
@@ -1912,31 +1904,41 @@ def _run_suggest(s, sugg: dict) -> dict:
     return out
 
 
-def _matched(s, t: _Translated) -> tuple[dict | None, int]:
+def _matched(s, t: _Translated, live) -> tuple[np.ndarray | None, int]:
     """The docs ``hits.total`` counts — ES's ``hits.total`` / ``_count``
-    semantics — as a filter that selects exactly them (None: every live
-    doc) and their number; aggregations run over the same filter. It is
-    :func:`_agg_scope_filter` (>=1 scoring term + filters, plus pinned's
-    ids) except where that would overcount: a node whose total is "rank"
-    and msm > 1 run their exact predicate over every local doc instead."""
+    semantics — as a live mask (None: every doc, no tombstones) and their
+    number; the aggregations run within the same mask. ``live`` is the
+    request's live mask of ``t``'s filter clauses, which the hits path
+    ranked within; only posting lists are read here. The matches are the
+    live docs holding at least one scoring term or node word (every live
+    doc when there is none), plus a pinned node's live ids. Two shapes
+    would overcount that way and run their exact predicate over every
+    local doc instead: a node whose total is "rank", and msm > 1."""
     node = t.node
     if node is not None and node.total == "rank":
-        ids = [h["doc_id"] for h in node.rank(s, s.n_local, t.filter)]
-        return {"ids": ids}, len(ids)
-    if node is None and t.msm > 1 and (t.terms or t.should_terms):
-        ids = [h["doc_id"] for h in _run_hits(s, t, s.n_local)]
-        return {"ids": ids}, len(ids)
-    f = _agg_scope_filter(s, t)
-    if node is not None and node.pins is not None and f is not None:
-        f = {"bool": {"should": [{"ids": node.pins}, f]}}
-    return f, s.count(f)
+        keep = s._ids_mask([h["doc_id"]
+                            for h in node.rank(s, s.n_local, live)])
+    elif node is None and t.msm > 1 and (t.terms or t.should_terms):
+        keep = s._ids_mask([h["doc_id"]
+                            for h in _run_hits(s, t, live, s.n_local)])
+    else:
+        words = t.terms + t.should_terms + (node.scope if node else [])
+        keep = live
+        if words:
+            keep = s._any_term_mask(set(words))  # fresh
+            if live is not None:
+                keep &= live
+            if node is not None and node.pins is not None:
+                keep |= s._ids_mask(node.pins)
+                s._apply_deletes(keep)
+    return keep, _popcount(s, keep)
 
 
 def execute_count(s, body: dict | None = None) -> dict:
     """ES ``_count``: the matched-doc count for a query body — no hits,
     no aggs, same exact-total semantics as ``hits.total``."""
     t = _translate(s, (body or {}).get("query"))
-    return {"count": int(_matched(s, t)[1])}
+    return {"count": _matched(s, t, s._live_mask(t.filter))[1]}
 
 
 def execute_get(s, doc_id: int, source: list[str] | None = None) -> dict:
@@ -2132,7 +2134,7 @@ def execute_explain(s, doc_id: int, body: dict) -> dict:
     f = ids_f if t.filter is None else {"bool": {"must": [t.filter,
                                                           ids_f]}}
     if t.node is None and not t.terms and not t.should_terms:
-        matched = bool(_scope_keep(s, f).any())
+        matched = bool(s._live_mask(f).any())
         return {"_id": did, "matched": matched, "explanation": {
             "value": 1.0 if matched else 0.0,
             "description": ("ConstantScore(filter context)" if matched
@@ -2481,7 +2483,8 @@ def _execute_body(s, body: dict) -> dict:
             raise NotImplementedError(
                 "knn+query combined retrieval supports hits only")
         t = _translate(s, body.get("query"))
-        qhits = _run_hits(s, t, size, body.get("min_score"))
+        qhits = _run_hits(s, t, s._live_mask(t.filter), size,
+                          body.get("min_score"))
         fused: dict[int, float] = {}
         for h in qhits:
             fused[h["doc_id"]] = fused.get(h["doc_id"], 0.0) + h["score"]
@@ -2496,7 +2499,10 @@ def _execute_body(s, body: dict) -> dict:
     sort = _parse_sort(body.get("sort"))
     frm = int(body.get("from", 0))
     after = tuple(body["search_after"]) if "search_after" in body else None
-    matched = None  # _matched(s, t), run at most once per request
+    # the request's one evaluation of its filter clauses: the hits, the
+    # match mask and every aggregation are derived from it
+    live = s._live_mask(t.filter)
+    matched = None  # _matched(s, t, live), run at most once per request
     if "collapse" in body:
         # ES field collapsing: one hit (the best) per distinct value of a
         # doc attribute — served by Searcher.search_collapse (plain
@@ -2507,7 +2513,7 @@ def _execute_body(s, body: dict) -> dict:
                 "collapse requires a plain match query with default "
                 "ranking")
         hits = s.search_collapse(t.terms, body["collapse"]["field"],
-                                 k=size + frm, filter=t.filter)
+                                 k=size + frm, filter=live)
     elif "rescore" in body:
         # ES rescore: rerank the top-window BM25 hits with a
         # match_phrase proximity bonus (Searcher.rescore semantics:
@@ -2530,17 +2536,18 @@ def _execute_body(s, body: dict) -> dict:
             t.terms, phrase, k=size + frm,
             window=int(rs.get("window_size", 10)),
             weight=float(rs["query"].get("rescore_query_weight", 1.0)),
-            filter=t.filter)
+            filter=live)
     elif sort is not None:
         # a field sort orders exactly the docs hits.total counts
-        matched = _matched(s, t)
+        matched = _matched(s, t, live)
         hits = _sort_hits(s, sort, size + frm, matched[0], after)
     else:
-        hits = _run_hits(s, t, size + frm, body.get("min_score"), after)
+        hits = _run_hits(s, t, live, size + frm, body.get("min_score"),
+                         after)
     hits = hits[frm:]
     aggs = body.get("aggs") or body.get("aggregations")
     if matched is None:
-        matched = _matched(s, t)
+        matched = _matched(s, t, live)
     resp = {
         "hits": {
             "total": {"value": int(matched[1]), "relation": "eq"},
@@ -2558,7 +2565,8 @@ def _execute_body(s, body: dict) -> dict:
             # top-k differs from the collapsed/rescored hit set
             raise NotImplementedError(
                 "explain/highlight are not supported with collapse/rescore")
-        _attach_hit_evidence(s, body, t, sort, resp, size + frm, after)
+        _attach_hit_evidence(s, body, t, live, sort, resp, size + frm,
+                             after)
     if "suggest" in body:
         resp["suggest"] = _run_suggest(s, body["suggest"])
     if aggs:
@@ -2575,8 +2583,8 @@ def _is_plain_match(t: _Translated, sort) -> bool:
     return t.node is None and sort is None and bool(t.terms or t.should_terms)
 
 
-def _attach_hit_evidence(s, body: dict, t: _Translated, sort, resp: dict,
-                         k: int, after) -> None:
+def _attach_hit_evidence(s, body: dict, t: _Translated, live, sort,
+                         resp: dict, k: int, after) -> None:
     """ES ``explain: true`` (per-hit ``_explanation`` BM25 breakdown) and
     ``highlight`` (per-hit term-occurrence evidence, offsets flavor — the
     index stores positions, not source text, so fragments are structured
@@ -2585,7 +2593,7 @@ def _attach_hit_evidence(s, body: dict, t: _Translated, sort, resp: dict,
         raise NotImplementedError(
             "explain/highlight are supported for match/bool match "
             "queries only")
-    kw = dict(filter=t.filter, should_terms=t.should_terms or None,
+    kw = dict(filter=live, should_terms=t.should_terms or None,
               min_should_match=t.msm, min_score=body.get("min_score"),
               after=after, boosts=t.boosts or None)
     if body.get("explain"):

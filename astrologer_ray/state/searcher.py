@@ -525,8 +525,8 @@ class Searcher:
 
         from collections import OrderedDict
 
-        self._taat_cache: OrderedDict[str, tuple] = OrderedDict()
-        self._taat_cache_vals = 0
+        self._impact_lru: OrderedDict[str, tuple] = OrderedDict()
+        self._impact_lru_vals = 0
 
 
     # value views of the sidecar string columns (None without load_docs)
@@ -536,9 +536,10 @@ class Searcher:
     doc_lang = property(lambda self: self.doc_attrs.get("lang"))
 
     def _apply_deletes(self, allowed: np.ndarray | None) -> np.ndarray | None:
-        """Fold the tombstone mask into a candidate mask (local id space).
-        ``allowed`` must be a freshly-computed throwaway mask (every caller
-        builds one per query) — it is mutated in place when present."""
+        """Fold the tombstones into a candidate mask (local id space).
+        ``allowed`` is mutated in place when present, so only the code
+        that just built it may pass it: a fresh ``filter_mask`` result,
+        never a live mask that other calls share (:meth:`_live_mask`)."""
         if self.deleted is None:
             return allowed
         if allowed is None:
@@ -550,7 +551,7 @@ class Searcher:
     # and Zipf head terms (df ~ N) recur constantly — without the cache
     # every such query re-decodes ~N varbyte postings. Capacity counts
     # stored weights: a sparse entry's postings, a dense entry's n_local
-    TAAT_CACHE_VALS = 32_000_000  # ~512 MB ceiling
+    IMPACT_LRU_VALS = 32_000_000  # ~512 MB ceiling
 
     def _term_entry(self, t: str
                     ) -> tuple[np.ndarray | None, np.ndarray, float, int]:
@@ -562,9 +563,9 @@ class Searcher:
         posting): ``ids`` is None and ``w`` holds every local doc's weight,
         0.0 where the term is absent — every posting's weight is positive
         (idf > 0, tf >= 1), so ``w > 0`` is exactly the posting set."""
-        ent = self._taat_cache.get(t)
+        ent = self._impact_lru.get(t)
         if ent is not None:
-            self._taat_cache.move_to_end(t)
+            self._impact_lru.move_to_end(t)
             return ent
         from astrologer_ray.functions.codec import decode_chunk
 
@@ -592,12 +593,12 @@ class Searcher:
         else:
             ent = (ids, w, float(w.max()), len(ids))
         n = len(ent[1])
-        while self._taat_cache and self._taat_cache_vals + n > self.TAAT_CACHE_VALS:
-            _, old = self._taat_cache.popitem(last=False)
-            self._taat_cache_vals -= len(old[1])
-        if n <= self.TAAT_CACHE_VALS:
-            self._taat_cache[t] = ent
-            self._taat_cache_vals += n
+        while self._impact_lru and self._impact_lru_vals + n > self.IMPACT_LRU_VALS:
+            _, old = self._impact_lru.popitem(last=False)
+            self._impact_lru_vals -= len(old[1])
+        if n <= self.IMPACT_LRU_VALS:
+            self._impact_lru[t] = ent
+            self._impact_lru_vals += n
         return ent
 
     @staticmethod
@@ -825,13 +826,19 @@ class Searcher:
         self._require(name)
         return self.doc_attrs.value(name, i)
 
-    def _postings_ids_mask(self, term: str) -> np.ndarray:
-        """Doc mask for one exact index term (posting-list membership).
-        Local doc-id space: index ``mask[doc_id - self.doc_lo]``."""
+    def _any_term_mask(self, terms) -> np.ndarray:
+        """Doc mask of the docs holding at least one of the exact index
+        ``terms`` (posting-list membership; local doc-id space, index
+        ``mask[doc_id - self.doc_lo]``), from the cached impact entries: a
+        dense entry's ``w > 0`` is its posting set."""
         mask = np.zeros(self.n_local, dtype=bool)
-        if term in self.postings:
-            ids, _w = self._term_contribution(term)
-            mask[ids] = True
+        for t in terms:
+            if t in self.postings:
+                ids, w, _, _ = self._term_entry(t)
+                if ids is None:
+                    mask |= w > 0
+                else:
+                    mask[ids] = True
         return mask
 
     @staticmethod
@@ -1165,57 +1172,38 @@ class Searcher:
             return m
         if kind == "field_term":
             ((field, val),) = arg.items()
-            return self._postings_ids_mask(
-                field + FIELD_SEP + self._fmt_field_value(val)
-            )
+            return self._any_term_mask(
+                [field + FIELD_SEP + self._fmt_field_value(val)])
         if kind == "match":
-            return self._postings_ids_mask(str(arg))
+            return self._any_term_mask([str(arg)])
         if kind == "prefix":
-            m = np.zeros(self.n_local, dtype=bool)
-            for t in self.expand_prefix(str(arg)):
-                if FIELD_SEP in t:
-                    continue  # keyword-field namespace, not analyzed text
-                m |= self._postings_ids_mask(t)
-            return m
+            # FIELD_SEP terms are the keyword-field namespace, not text
+            return self._any_term_mask(
+                t for t in self.expand_prefix(str(arg)) if FIELD_SEP not in t)
         if kind == "fuzzy":
             if isinstance(arg, str):
                 arg = {"value": arg}
-            m = np.zeros(self.n_local, dtype=bool)
-            for t in self.expand_fuzzy(
+            return self._any_term_mask(self.expand_fuzzy(
                 arg["value"],
                 max_edits=int(arg.get("max_edits", 1)),
                 prefix_length=int(arg.get("prefix_length", 0)),
                 max_terms=arg.get("max_terms"),
-            ):
-                m |= self._postings_ids_mask(t)
-            return m
+            ))
         if kind == "wildcard":
-            m = np.zeros(self.n_local, dtype=bool)
-            for t in self.expand_wildcard(str(arg)):
-                m |= self._postings_ids_mask(t)
-            return m
+            return self._any_term_mask(self.expand_wildcard(str(arg)))
         if kind == "regexp":
-            m = np.zeros(self.n_local, dtype=bool)
-            for t in self.expand_regexp(str(arg)):
-                m |= self._postings_ids_mask(t)
-            return m
+            return self._any_term_mask(self.expand_regexp(str(arg)))
         if kind == "field_prefix":
             ((field, val),) = arg.items()
-            m = np.zeros(self.n_local, dtype=bool)
-            for t in self.expand_prefix(field + FIELD_SEP + str(val)):
-                m |= self._postings_ids_mask(t)
-            return m
+            return self._any_term_mask(
+                self.expand_prefix(field + FIELD_SEP + str(val)))
         if kind == "attr_prefix":
             col = pa.array(col, type=pa.string())
             return np.asarray(
                 pc.fill_null(pc.starts_with(col, str(val)), False)
             )
         if kind == "ids":
-            m = np.zeros(self.n_local, dtype=bool)
-            ids = np.asarray([int(v) for v in arg], dtype=np.int64)
-            ids = ids - self.doc_lo
-            m[ids[(ids >= 0) & (ids < self.n_local)]] = True
-            return m
+            return self._ids_mask(arg)
         if kind == "bool":
             m = np.ones(self.n_local, dtype=bool)
             for sub in arg.get("must", []):
@@ -1230,6 +1218,14 @@ class Searcher:
                 m &= sm
             return m
         raise ValueError(f"unknown filter kind {kind!r}")
+
+    def _ids_mask(self, ids) -> np.ndarray:
+        """Doc mask of the global doc ids ``ids``; ids outside this
+        searcher's range are ignored."""
+        m = np.zeros(self.n_local, dtype=bool)
+        li = np.asarray([int(v) for v in ids], dtype=np.int64) - self.doc_lo
+        m[li[(li >= 0) & (li < self.n_local)]] = True
+        return m
 
     @staticmethod
     def _coded_mask(kind: str, val, codes: np.ndarray,
@@ -1261,6 +1257,8 @@ class Searcher:
             if "lang" not in self.doc_attrs:
                 raise ValueError("lang filter requires load_docs=True")
             lf = {"term": {"lang": lang}}
+            if isinstance(filter, np.ndarray):
+                return self.filter_mask(lf) & filter
             filter = lf if filter is None else {"bool": {"must": [lf, filter]}}
         return self._live_mask(filter)
 
@@ -1271,8 +1269,7 @@ class Searcher:
             return self.n_local - (
                 0 if self.deleted is None else len(self.deleted)
             )
-        m = self._apply_deletes(self.filter_mask(filter))
-        return int(m.sum())
+        return int(np.count_nonzero(self._live_mask(filter)))
 
     def field_lookup(self, filter, decorate: bool = False) -> list[dict]:
         """Exact doc listing for a filter — index/sidecar-served, no scan."""
@@ -1292,10 +1289,28 @@ class Searcher:
         return [(str(cats[i]), int(counts[i])) for i in order]
 
     def _live_mask(self, filter) -> np.ndarray | None:
-        """Mask of the live docs matching ``filter``; None when there is
-        neither a filter nor a tombstone (every doc)."""
+        """Mask of the live docs matching ``filter`` (local id space);
+        None when there is neither a filter nor a tombstone (every doc).
+
+        Every ``filter=`` argument that reaches this method may also be a
+        boolean array: a live mask computed before, tombstones folded in
+        (the DSL adapter computes one per request and ranks, counts and
+        aggregates within it). It is returned as it is. The result is
+        read, never mutated, by every caller: it may be shared."""
+        if isinstance(filter, np.ndarray):
+            return filter
         return self._apply_deletes(
             self.filter_mask(filter) if filter is not None else None)
+
+    @staticmethod
+    def _gather(col: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """``col[mask]``: numpy's boolean gather slows down with the
+        number of true/false runs in the mask, ``compress`` costs a scan
+        plus the selected values; on numpy 1.26 (x86-64) they cross near
+        91 % set."""
+        if 10 * np.count_nonzero(mask) > 9 * len(mask):
+            return col[mask]
+        return col.compress(mask)
 
     def _code_counts(self, attr: str, mask: np.ndarray | None
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -1304,7 +1319,7 @@ class Searcher:
         never counted."""
         codes, cats = self._attr_codes(attr)
         if mask is not None:
-            codes = codes[mask]
+            codes = self._gather(codes, mask)
         return np.bincount(codes + 1, minlength=len(cats) + 1)[1:], cats
 
     def search(
@@ -1491,9 +1506,7 @@ class Searcher:
         loc, sc = self._matches(full, allowed)
         scores = np.zeros(self.n_local, dtype=np.float64)
         scores[loc] = sc
-        hit = np.zeros(self.n_local, dtype=bool)
-        for e in exp:
-            hit[self._term_contribution(e)[0]] = True
+        hit = self._any_term_mask(exp)
         if allowed is not None:
             hit &= allowed
         scores[hit] += 1.0
@@ -1586,7 +1599,7 @@ class Searcher:
         any of the attributes is not counted."""
         m = self._live_mask(filter)
         enc = [self._attr_codes(a) for a in attrs]
-        codes = [c if m is None else c[m] for c, _ in enc]
+        codes = [c if m is None else self._gather(c, m) for c, _ in enc]
         has = np.logical_and.reduce([c >= 0 for c in codes])
         # codes ascend with their values, so ascending code tuples are
         # ascending key tuples
@@ -1852,10 +1865,9 @@ class Searcher:
         the result is the first k live matching docs by id."""
         if k <= 0:
             return []
-        mask = (np.ones(self.n_local, dtype=bool) if filter is None
-                else self.filter_mask(filter))  # None = ES match_all
-        mask = self._apply_deletes(mask)
-        loc = np.flatnonzero(mask)[: min(k, self.n_local)]
+        mask = self._live_mask(filter)  # None = ES match_all
+        loc = (np.arange(min(k, self.n_local)) if mask is None
+               else np.flatnonzero(mask)[:k])
         return self._format(
             [(int(i) + self.doc_lo, float(boost)) for i in loc], decorate
         )
@@ -1866,10 +1878,7 @@ class Searcher:
         the ES key format). Masks compose from the filter DSL and respect
         tombstones; empty intersections are omitted (ES behavior)."""
         names = sorted(filters)
-        masks = {
-            n: self._apply_deletes(self.filter_mask(filters[n]))
-            for n in names
-        }
+        masks = {n: self._live_mask(filters[n]) for n in names}
         out = []
         for i, a in enumerate(names):
             c = int(masks[a].sum())
@@ -2011,8 +2020,7 @@ class Searcher:
         masks, vals, weights = [], [], []
         for fn in functions:
             if fn.get("filter") is not None:
-                fm = self._apply_deletes(self.filter_mask(fn["filter"]))
-                m = (np.ones(self.n_local, bool) if fm is None else fm)[li]
+                m = self._live_mask(fn["filter"])[li]
             else:
                 m = np.ones(n, dtype=bool)
             w = float(fn.get("weight", 1.0))
@@ -2119,7 +2127,10 @@ class Searcher:
         if function == "log":
             contrib = np.log(float(scaling_factor) + x)
         elif function == "sigmoid":
-            xe = x ** float(exponent)
+            # the C library's pow per value, as a scalar scorer computes
+            # it: numpy's SIMD pow rounds some values one bit differently
+            e = float(exponent)
+            xe = np.fromiter((v ** e for v in x.tolist()), np.float64, len(x))
             contrib = xe / (xe + float(pivot) ** float(exponent))
         else:
             contrib = x / (x + float(pivot))

@@ -2,7 +2,7 @@
 """Write one canonical JSON line per ES ``_search`` body run against an
 index, so two versions of the engine can be compared with one ``diff``.
 
-    python scripts/dsl_sweep.py <index> <out.jsonl> [--seed 1]
+    python scripts/dsl_sweep.py <index> <out.jsonl> [--seed 1] [--calls]
 
 Bodies, in order:
 - the ``perfbench`` ``dsl`` workload's 3,000 bodies for ``--seed``, drawn
@@ -20,6 +20,10 @@ Bodies, in order:
 Each line holds the body and either its ``execute_dsl`` response or, for a
 body that raises, the exception class and message. Keys are sorted and
 floats printed with ``repr``, so equal lines mean equal responses.
+
+``--calls`` also prints, per ``perfbench`` body kind, how many top-level
+``Searcher.filter_mask`` calls (not its recursion into bool clauses) and
+``Searcher.count`` calls the 3,000 ``perfbench`` bodies made.
 
 When ``<index>`` does not exist, the script writes the seed's ``perfbench``
 base corpus next to it (``<index>.corpus/``) and builds the index there
@@ -40,6 +44,8 @@ sys.path.insert(0, REPO)
 
 PER_KIND = 60
 LANGS = ("python", "go", "rust", "java", "js", "markdown")
+# the perfbench dsl body kinds, in their rotation order (body i is i % 3)
+PERFBENCH_KINDS = ("filtered search", "size-0 aggs", "match")
 
 
 def perfbench_bodies(seed: int):
@@ -256,6 +262,47 @@ def node_bodies(d: _Draw) -> list[dict]:
     return out
 
 
+class _Calls:
+    """Counts calls of ``Searcher.filter_mask`` (top level only) and
+    ``Searcher.count`` by wrapping them on the class."""
+
+    def __init__(self, searcher_cls):
+        self.n = {"filter_mask": 0, "count": 0}
+        depth = [0]
+        filter_mask, count = searcher_cls.filter_mask, searcher_cls.count
+
+        def counted_filter_mask(s, f):
+            self.n["filter_mask"] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return filter_mask(s, f)
+            finally:
+                depth[0] -= 1
+
+        def counted_count(s, *args, **kw):
+            self.n["count"] += 1
+            return count(s, *args, **kw)
+
+        searcher_cls.filter_mask = counted_filter_mask
+        searcher_cls.count = counted_count
+
+    def snapshot(self) -> dict:
+        return dict(self.n)
+
+
+def _print_calls(per_kind: dict) -> None:
+    print(f"{'kind':<16} {'bodies':>7} {'filter_mask':>12} {'count':>7}")
+    total = {"bodies": 0, "filter_mask": 0, "count": 0}
+    for kind in PERFBENCH_KINDS:
+        row = per_kind[kind]
+        for key in total:
+            total[key] += row[key]
+        print(f"{kind:<16} {row['bodies']:>7} {row['filter_mask']:>12} "
+              f"{row['count']:>7}")
+    print(f"{'total':<16} {total['bodies']:>7} {total['filter_mask']:>12} "
+          f"{total['count']:>7}")
+
+
 def _plain(o):
     if isinstance(o, np.generic):
         return o.item()
@@ -269,6 +316,9 @@ def main(argv=None) -> int:
     ap.add_argument("index")
     ap.add_argument("out")
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--calls", action="store_true",
+                    help="print filter_mask / count calls per perfbench "
+                         "body kind")
     args = ap.parse_args(argv)
 
     bodies, wl = perfbench_bodies(args.seed)
@@ -279,16 +329,28 @@ def main(argv=None) -> int:
 
     s = Searcher(args.index)
     contents = wl.base.rows.column("content").to_pylist()
+    n_perfbench = len(bodies)
     bodies = bodies + node_bodies(_Draw(s, contents, args.seed))
+    calls = _Calls(Searcher) if args.calls else None
+    per_kind = {k: {"bodies": 0, "filter_mask": 0, "count": 0}
+                for k in PERFBENCH_KINDS}
     with open(args.out, "w") as f:
         for i, body in enumerate(bodies):
+            before = calls.snapshot() if calls else None
             line = {"i": i, "body": body}
             try:
                 line["response"] = execute_dsl(s, json.loads(json.dumps(body)))
             except Exception as exc:  # noqa: BLE001 — a refusal is an answer
                 line["error"] = [type(exc).__name__, str(exc)]
+            if calls and i < n_perfbench:
+                row = per_kind[PERFBENCH_KINDS[i % 3]]
+                row["bodies"] += 1
+                for key, n in calls.snapshot().items():
+                    row[key] += n - before[key]
             f.write(json.dumps(line, sort_keys=True, default=_plain) + "\n")
     print(f"{len(bodies)} bodies -> {args.out}")
+    if calls:
+        _print_calls(per_kind)
     return 0
 
 

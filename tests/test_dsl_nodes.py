@@ -253,7 +253,7 @@ def test_field_sort_keeps_the_query(node_env):
     # field sort still keeps only the query's matches
     term = min((t for t in s.df if t.isalpha() and 21 <= s.df[t] <= 40),
                key=lambda t: (s.df[t], t))
-    match = set((np.flatnonzero(s._postings_ids_mask(term))
+    match = set((np.flatnonzero(s._any_term_mask([term]))
                  + s.doc_lo).tolist())
     q = {"match": {"content": term}}
     got = execute_dsl(s, {"size": 20, "query": q,

@@ -2219,7 +2219,7 @@ def test_mixed_lru_accounting(dense_env, cap_frac, monkeypatch):
     weights = dense_env["weights"]
     s, allowed = _dense_case(dense_env, "range")
     cap = int(cap_frac * s.n_local)
-    monkeypatch.setattr(s, "TAAT_CACHE_VALS", cap)
+    monkeypatch.setattr(s, "IMPACT_LRU_VALS", cap)
     dense, sparse, _ = _dense_split(s, weights)
     rng = np.random.default_rng(37)
     dense_cached = False
@@ -2229,7 +2229,7 @@ def test_mixed_lru_accounting(dense_env, cap_frac, monkeypatch):
         want = _ref_hits(weights, q, allowed=allowed)[:10]
         for st in STRATEGIES:
             assert _pairs(s.search(q, k=10, strategy=st)) == want, (q, st)
-            sizes = [len(e[1]) for e in s._taat_cache.values()]
-            assert s._taat_cache_vals == sum(sizes) <= cap
-            dense_cached |= any(e[0] is None for e in s._taat_cache.values())
+            sizes = [len(e[1]) for e in s._impact_lru.values()]
+            assert s._impact_lru_vals == sum(sizes) <= cap
+            dense_cached |= any(e[0] is None for e in s._impact_lru.values())
     assert dense_cached == (cap >= s.n_local)
